@@ -101,6 +101,7 @@ use unidm_llm::{Clock, Completion, FaultPlan, LanguageModel, LlmProfile, MockLlm
 use unidm_synthdata::imputation;
 use unidm_synthdata::scale::{ScaleSpec, TABLE_NAME as SCALE_TABLE};
 use unidm_tablestore::DataLake;
+use unidm_text::hash::{fnv1a_extend, FNV_OFFSET};
 use unidm_world::World;
 
 /// How many times each task repeats in the duplicate-heavy regime.
@@ -269,14 +270,11 @@ fn run_scale(llm: &CallCounter<'_>, seed: u64, rows: usize) -> String {
         .with_partition_tasks(SCALE_PARTITION_TASKS);
     let start = Instant::now();
     let (mut answers, mut errors) = (0u64, 0u64);
-    let mut answer_fnv = 0xcbf2_9ce4_8422_2325u64;
+    let mut answer_fnv = FNV_OFFSET;
     let scale_report = runner.run_streaming(&lake, tasks, |_, result| match result {
         Ok(output) => {
             answers += 1;
-            for byte in output.answer.bytes() {
-                answer_fnv ^= u64::from(byte);
-                answer_fnv = answer_fnv.wrapping_mul(0x100_0000_01b3);
-            }
+            answer_fnv = fnv1a_extend(answer_fnv, output.answer.as_bytes());
         }
         Err(_) => errors += 1,
     });

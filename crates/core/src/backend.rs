@@ -28,6 +28,11 @@
 //! scheduling (retry counts too, unless the breaker is enabled — its
 //! fast-fails consume retries in an order-sensitive way).
 //!
+//! The breaker, the token bucket, the backoff and the endpoint are the
+//! crate's one endpoint-policy core (the private `policy` module), shared
+//! with the dispatcher and the router; this stack adds the concurrency
+//! gate, the deadline, the sleeping retry loop and its [`BackendStats`].
+//!
 //! All timing — token refill, backoff, breaker cooldown, injected latency
 //! — runs on a shared [`Clock`], by default a [`VirtualClock`], so tests
 //! replay multi-second fault schedules in microseconds of wall time.
@@ -57,11 +62,11 @@
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use unidm_llm::{
-    Clock, Completion, Dice, FaultPlan, FaultStats, LanguageModel, LlmError, SimBackend, Usage,
-    VirtualClock,
+    Clock, Completion, Dice, FaultPlan, FaultStats, LanguageModel, LlmError, Usage, VirtualClock,
 };
 
 use crate::dispatch::{Dispatcher, HedgePolicy};
+use crate::policy::{self, Breaker, Bucket, Endpoint, FaultTally};
 use crate::route::{RoutePlan, RoutedBackend, RouterStats};
 
 /// Retry policy: bounded exponential backoff with seeded jitter.
@@ -101,9 +106,9 @@ impl Default for RetryPolicy {
 /// so client-side throttling cannot change answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RateLimit {
-    /// Sustained attempts per second. Must be at least 1.
+    /// Sustained attempts per second (0 is treated as 1).
     pub tokens_per_sec: u64,
-    /// Bucket capacity (burst size). Must be at least 1.
+    /// Bucket capacity (burst size; 0 is treated as 1).
     pub burst: u64,
 }
 
@@ -165,8 +170,8 @@ pub struct BackendConfig {
     /// [`LlmError::DeadlineExceeded`] instead of retrying further.
     pub deadline_us: u64,
     /// Optional fault-injection plan: when set, [`BackendConfig::wrap`]
-    /// interposes a [`SimBackend`] between the retry loop and the inner
-    /// model, sharing the backend's clock.
+    /// interposes a [`SimBackend`](unidm_llm::SimBackend) between the
+    /// retry loop and the inner model, sharing the backend's clock.
     pub faults: Option<FaultPlan>,
     /// Route calls through the event-driven dispatcher
     /// ([`crate::dispatch::Dispatcher`]) instead of the blocking stack:
@@ -534,49 +539,29 @@ impl BackendStats {
     }
 }
 
-/// One micro-token: the token bucket accounts in millionths of a token so
-/// refill arithmetic is exact integers at any rate. Shared with the
-/// dispatcher's virtual-scheduling bucket (`crate::dispatch`).
-pub(crate) const TOKEN: u64 = 1_000_000;
-
-#[derive(Debug)]
-struct TokenBucket {
-    /// Current content in micro-tokens.
-    units: u64,
-    /// Clock time of the last refill.
-    last_us: u64,
+impl FaultTally for BackendStats {
+    fn fault_counters(&mut self) -> [&mut u64; 3] {
+        [
+            &mut self.timeouts,
+            &mut self.rate_limited,
+            &mut self.transients,
+        ]
+    }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerHealth {
-    Closed,
-    Open,
-    HalfOpen,
-}
-
-#[derive(Debug)]
-struct BreakerState {
-    health: BreakerHealth,
-    consecutive_failures: u32,
-    open_until_us: u64,
-}
-
-/// The endpoint under the protection stack: the caller's model directly,
-/// or a fault injector owned by the backend when
-/// [`BackendConfig::faults`] is set.
-enum Endpoint<'a> {
-    Direct(&'a dyn LanguageModel),
-    // Boxed: the injector carries its plan and counters, and the direct
-    // path should not pay its footprint.
-    Sim(Box<SimBackend<'a>>),
-}
-
-impl Endpoint<'_> {
-    fn model(&self) -> &dyn LanguageModel {
-        match self {
-            Endpoint::Direct(m) => *m,
-            Endpoint::Sim(sim) => sim.as_ref(),
-        }
+/// Takes one token from `bucket`, sleeping on `clock` while it is empty.
+/// Returns the time waited in microseconds, or `None` without a bucket.
+/// The blocking drivers (this stack and each [`RoutedBackend`] endpoint)
+/// share it.
+pub(crate) fn take_token(bucket: &Option<Mutex<Bucket>>, clock: &dyn Clock) -> Option<u64> {
+    let mut waited = 0;
+    loop {
+        let taken = policy::lock(bucket)?.take(clock.now_micros());
+        let Err(wait) = taken else {
+            return Some(waited);
+        };
+        clock.sleep_micros(wait);
+        waited += wait;
     }
 }
 
@@ -628,8 +613,8 @@ pub struct ResilientBackend<'a> {
     config: BackendConfig,
     clock: Arc<dyn Clock>,
     dice: Dice,
-    bucket: Option<Mutex<TokenBucket>>,
-    breaker: Option<Mutex<BreakerState>>,
+    bucket: Option<Mutex<Bucket>>,
+    breaker: Option<Mutex<Breaker>>,
     gate: Option<Gate>,
     stats: Mutex<BackendStats>,
 }
@@ -657,30 +642,17 @@ impl<'a> ResilientBackend<'a> {
         config: BackendConfig,
         clock: Arc<dyn Clock>,
     ) -> Self {
-        let endpoint = match config.faults {
-            Some(plan) => {
-                Endpoint::Sim(Box::new(SimBackend::with_clock(inner, plan, clock.clone())))
-            }
-            None => Endpoint::Direct(inner),
-        };
         let now = clock.now_micros();
         ResilientBackend {
-            endpoint,
+            endpoint: Endpoint::new(inner, config.faults, &clock, None),
             clock,
             dice: Dice::new(config.seed),
-            bucket: config.rate.map(|rate| {
-                Mutex::new(TokenBucket {
-                    units: rate.burst * TOKEN,
-                    last_us: now,
-                })
-            }),
-            breaker: config.breaker.map(|_| {
-                Mutex::new(BreakerState {
-                    health: BreakerHealth::Closed,
-                    consecutive_failures: 0,
-                    open_until_us: 0,
-                })
-            }),
+            bucket: config
+                .rate
+                .map(|rate| Mutex::new(Bucket::new(rate.tokens_per_sec, rate.burst, now))),
+            breaker: config
+                .breaker
+                .map(|policy| Mutex::new(Breaker::new(policy))),
             gate: (config.max_in_flight > 0).then(|| Gate::new(config.max_in_flight)),
             config,
             stats: Mutex::new(BackendStats::default()),
@@ -705,107 +677,11 @@ impl<'a> ResilientBackend<'a> {
     /// Injection counters of the owned fault injector, when
     /// [`BackendConfig::faults`] is set.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        match &self.endpoint {
-            Endpoint::Sim(sim) => Some(sim.stats()),
-            Endpoint::Direct(_) => None,
-        }
+        self.endpoint.fault_stats()
     }
 
     fn lock_stats(&self) -> MutexGuard<'_, BackendStats> {
         self.stats.lock().expect("backend stats lock poisoned")
-    }
-
-    /// Checks the breaker gate: `Ok` to proceed, `Err(remaining cooldown)`
-    /// to fail fast. An expired cooldown half-opens the breaker, letting
-    /// the caller through as a probe.
-    fn breaker_check(&self) -> Result<(), u64> {
-        let Some(breaker) = &self.breaker else {
-            return Ok(());
-        };
-        let mut state = breaker.lock().expect("breaker lock poisoned");
-        match state.health {
-            BreakerHealth::Closed | BreakerHealth::HalfOpen => Ok(()),
-            BreakerHealth::Open => {
-                let now = self.clock.now_micros();
-                if now >= state.open_until_us {
-                    state.health = BreakerHealth::HalfOpen;
-                    Ok(())
-                } else {
-                    Err(state.open_until_us - now)
-                }
-            }
-        }
-    }
-
-    fn breaker_success(&self) {
-        if let Some(breaker) = &self.breaker {
-            let mut state = breaker.lock().expect("breaker lock poisoned");
-            state.health = BreakerHealth::Closed;
-            state.consecutive_failures = 0;
-        }
-    }
-
-    /// Records an attempt failure; returns whether the breaker tripped
-    /// (transitioned to open) on this failure.
-    fn breaker_failure(&self) -> bool {
-        let (Some(breaker), Some(policy)) = (&self.breaker, self.config.breaker) else {
-            return false;
-        };
-        let mut state = breaker.lock().expect("breaker lock poisoned");
-        state.consecutive_failures += 1;
-        let should_open = state.health == BreakerHealth::HalfOpen
-            || state.consecutive_failures >= policy.failure_threshold;
-        if !should_open {
-            return false;
-        }
-        let tripped = state.health != BreakerHealth::Open;
-        state.health = BreakerHealth::Open;
-        state.open_until_us = self.clock.now_micros() + policy.cooldown_us;
-        tripped
-    }
-
-    /// Takes one rate-limit token, waiting on the clock if the bucket is
-    /// empty. Returns the time waited, in microseconds.
-    fn acquire_token(&self) -> u64 {
-        let Some(bucket) = &self.bucket else {
-            return 0;
-        };
-        let rate = self.config.rate.expect("bucket implies rate");
-        let mut waited = 0u64;
-        loop {
-            {
-                let mut b = bucket.lock().expect("bucket lock poisoned");
-                let now = self.clock.now_micros();
-                let elapsed = now.saturating_sub(b.last_us);
-                let refill = u128::from(elapsed) * u128::from(rate.tokens_per_sec);
-                let cap = u128::from(rate.burst) * u128::from(TOKEN);
-                b.units = (u128::from(b.units) + refill).min(cap) as u64;
-                b.last_us = now;
-                if b.units >= TOKEN {
-                    b.units -= TOKEN;
-                    return waited;
-                }
-                // Not enough: wait exactly until one token has dripped in.
-                let deficit = TOKEN - b.units;
-                let wait = deficit.div_ceil(rate.tokens_per_sec);
-                drop(b);
-                self.clock.sleep_micros(wait);
-                waited += wait;
-            }
-        }
-    }
-
-    /// Backoff before retry `n` (1-based) of `prompt`: exponential from
-    /// the policy base, capped, then jittered into `[50%, 100%]` by a
-    /// deterministic draw.
-    fn backoff_us(&self, prompt: &str, retry: u32) -> u64 {
-        let policy = self.config.retry;
-        let doubled = policy
-            .base_backoff_us
-            .saturating_mul(1u64 << (retry - 1).min(32));
-        let ceiling = doubled.min(policy.max_backoff_us);
-        let jitter = self.dice.uniform(prompt, &format!("backoff-{retry}"));
-        ceiling / 2 + ((ceiling / 2) as f64 * jitter) as u64
     }
 }
 
@@ -822,38 +698,40 @@ impl LanguageModel for ResilientBackend<'_> {
 
         let mut retry = 0u32;
         loop {
-            if let Some(d) = deadline {
-                if self.clock.now_micros() >= d {
-                    let mut stats = self.lock_stats();
-                    stats.deadline_exceeded += 1;
-                    stats.failures += 1;
-                    return Err(LlmError::DeadlineExceeded {
-                        deadline_us: self.config.deadline_us,
-                    });
-                }
+            if deadline.is_some_and(|d| self.clock.now_micros() >= d) {
+                let mut stats = self.lock_stats();
+                stats.deadline_exceeded += 1;
+                stats.failures += 1;
+                return Err(LlmError::DeadlineExceeded {
+                    deadline_us: self.config.deadline_us,
+                });
             }
-            let err = match self.breaker_check() {
+            let admitted = policy::lock(&self.breaker)
+                .map_or(Ok(()), |mut b| b.admit(self.clock.now_micros()));
+            let err = match admitted {
                 Err(cooldown_us) => {
                     self.lock_stats().breaker_fast_fails += 1;
                     LlmError::CircuitOpen { cooldown_us }
                 }
                 Ok(()) => {
-                    let waited = self.acquire_token();
+                    let waited = take_token(&self.bucket, self.clock.as_ref());
                     {
                         let mut stats = self.lock_stats();
-                        if waited > 0 {
-                            stats.throttle_waits += 1;
-                            stats.throttle_wait_us += waited;
-                        }
-                        if self.bucket.is_some() {
+                        if let Some(waited) = waited {
                             stats.rate_tokens += 1;
+                            if waited > 0 {
+                                stats.throttle_waits += 1;
+                                stats.throttle_wait_us += waited;
+                            }
                         }
                         stats.attempts += 1;
                     }
                     let attempt_start = self.clock.now_micros();
                     match self.endpoint.model().complete(prompt) {
                         Ok(completion) => {
-                            self.breaker_success();
+                            if let Some(mut b) = policy::lock(&self.breaker) {
+                                b.success();
+                            }
                             let now = self.clock.now_micros();
                             let mut stats = self.lock_stats();
                             stats.attempt_latency.record(now - attempt_start);
@@ -861,16 +739,10 @@ impl LanguageModel for ResilientBackend<'_> {
                             return Ok(completion);
                         }
                         Err(e) if e.is_transient() => {
-                            {
-                                let mut stats = self.lock_stats();
-                                match &e {
-                                    LlmError::Timeout { .. } => stats.timeouts += 1,
-                                    LlmError::RateLimited { .. } => stats.rate_limited += 1,
-                                    LlmError::Transient { .. } => stats.transients += 1,
-                                    _ => {}
-                                }
-                            }
-                            if self.breaker_failure() {
+                            self.lock_stats().tally(&e);
+                            let tripped = policy::lock(&self.breaker)
+                                .is_some_and(|mut b| b.failure(self.clock.now_micros()));
+                            if tripped {
                                 self.lock_stats().breaker_trips += 1;
                             }
                             e
@@ -890,14 +762,7 @@ impl LanguageModel for ResilientBackend<'_> {
             }
             retry += 1;
             self.lock_stats().retries += 1;
-            let mut backoff = self.backoff_us(prompt, retry);
-            // Honor server hints and breaker cooldowns: sleeping less than
-            // either would burn a retry on a guaranteed rejection.
-            match err {
-                LlmError::RateLimited { retry_after_us } => backoff = backoff.max(retry_after_us),
-                LlmError::CircuitOpen { cooldown_us } => backoff = backoff.max(cooldown_us),
-                _ => {}
-            }
+            let backoff = policy::backoff_us(&self.config.retry, &self.dice, prompt, retry, &err);
             self.clock.sleep_micros(backoff);
         }
     }
@@ -1074,6 +939,31 @@ mod tests {
             backend.clock().now_micros()
         );
         assert!(stats.throttle_wait_us >= 1_900_000);
+    }
+
+    #[test]
+    fn zero_burst_rate_limit_paces_like_burst_one() {
+        // A literal zero burst bypasses `RateLimit::per_sec`'s clamp; it
+        // used to cap the bucket below one token, so the first call slept
+        // forever.
+        let llm = model();
+        let run = |rate: RateLimit| {
+            let config = BackendConfig {
+                rate: Some(rate),
+                ..BackendConfig::resilient(1)
+            };
+            let backend = ResilientBackend::new(&llm, config);
+            for i in 0..5 {
+                backend.complete(&format!("zero burst {i}")).unwrap();
+            }
+            (backend.stats(), backend.clock().now_micros())
+        };
+        let zero = run(RateLimit {
+            tokens_per_sec: 5,
+            burst: 0,
+        });
+        assert_eq!(zero, run(RateLimit::per_sec(5, 1)));
+        assert_eq!(zero.0.throttle_waits, 4, "everything after the first waits");
     }
 
     #[test]

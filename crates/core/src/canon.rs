@@ -73,6 +73,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use unidm_llm::protocol::{parse_prm, render_prm, TaskKind};
 use unidm_llm::Completion;
+use unidm_text::hash::fnv1a;
 
 /// How aggressively [`PromptKey::canonicalize`] normalizes a prompt before
 /// it is used as a cache key.
@@ -146,27 +147,6 @@ impl std::fmt::Display for CanonLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
-}
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into a running FNV-1a state.
-#[inline]
-fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// FNV-1a of `text` from the offset basis.
-#[inline]
-fn fnv1a(text: &str) -> u64 {
-    fnv1a_extend(FNV_OFFSET, text.as_bytes())
 }
 
 /// How a completion of the canonical (sorted) form of a folded prompt is
@@ -300,7 +280,7 @@ impl<'a> CanonicalPrompt<'a> {
                 text: Cow::Borrowed(prompt),
                 splice: 0,
                 suffix_len: prompt.len(),
-                hash: fnv1a(prompt),
+                hash: fnv1a(prompt.as_bytes()),
                 replay: None,
             };
         }
@@ -330,7 +310,7 @@ impl<'a> CanonicalPrompt<'a> {
                     text.push_str(&general);
                     text.push_str(&norm[query_end..]);
                     CanonicalPrompt {
-                        hash: fnv1a(&text),
+                        hash: fnv1a(text.as_bytes()),
                         splice: query_start,
                         suffix_len: general.len(),
                         text: Cow::Owned(text),
@@ -352,7 +332,7 @@ impl<'a> CanonicalPrompt<'a> {
             if let Some(pos) = rendered.find(QUERY_MARKER) {
                 let splice = pos + QUERY_MARKER.len();
                 return CanonicalPrompt {
-                    hash: fnv1a(&rendered),
+                    hash: fnv1a(rendered.as_bytes()),
                     splice,
                     suffix_len: query.len(),
                     text: Cow::Owned(rendered),
@@ -372,7 +352,7 @@ impl<'a> CanonicalPrompt<'a> {
                         return CanonicalPrompt {
                             splice: pos,
                             suffix_len,
-                            hash: fnv1a(&folded),
+                            hash: fnv1a(folded.as_bytes()),
                             text: Cow::Owned(folded),
                             replay: Some(ReplayFold::PriScores(perm)),
                         };
@@ -419,7 +399,7 @@ impl<'a> CanonicalPrompt<'a> {
                         text.push_str(&sorted);
                         text.push(']');
                         return CanonicalPrompt {
-                            hash: fnv1a(&text),
+                            hash: fnv1a(text.as_bytes()),
                             splice,
                             suffix_len: sorted.len(),
                             text: Cow::Owned(text),
@@ -628,7 +608,7 @@ fn intern_stem(stem: &str) -> Arc<str> {
 /// Hash of an intermediate canonical text.
 #[inline]
 fn hash_of(text: &str) -> u64 {
-    fnv1a(text)
+    fnv1a(text.as_bytes())
 }
 
 /// Whether `prompt` is already in whitespace-normal form: no tabs or

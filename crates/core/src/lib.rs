@@ -125,6 +125,7 @@ pub mod exec;
 pub mod html;
 pub mod parsing;
 pub mod pipeline;
+mod policy;
 pub mod prompting;
 pub mod retrieval;
 pub mod route;

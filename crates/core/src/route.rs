@@ -18,14 +18,16 @@
 //!
 //! [`RoutedBackend`] implements [`LanguageModel`] over N weighted
 //! endpoints. Each endpoint carries its own circuit breaker, latency
-//! sketch and an AIMD-adapted token bucket: observed `RateLimited` (429)
-//! errors halve the endpoint's admission rate (multiplicative decrease,
-//! floored), successes add it back one step at a time (additive
-//! increase, capped) — all in integer micro-tokens, so rate trajectories
-//! are exactly reproducible. A prompt is routed by a seeded weighted draw
-//! over the endpoints whose breakers admit it; retries re-draw with the
-//! attempt index mixed in, so a failing endpoint sheds traffic to its
-//! healthy peers even before its breaker opens.
+//! sketch and an AIMD-adapted token bucket — one instance per endpoint of
+//! the breaker and bucket the blocking stack uses (the crate's private
+//! `policy` module), with the same backoff between retries. Observed
+//! `RateLimited` (429) errors halve the endpoint's admission rate
+//! (multiplicative decrease, floored), successes add it back one step at
+//! a time (additive increase, capped) — all in integer micro-tokens, so
+//! rate trajectories are exactly reproducible. A prompt is routed by a
+//! seeded weighted draw over the endpoints whose breakers admit it;
+//! retries re-draw with the attempt index mixed in, so a failing endpoint
+//! sheds traffic to its healthy peers even before its breaker opens.
 //!
 //! [`CascadeBackend`] stacks the cost policy on top: every prompt goes to
 //! the cheap tier first, and escalates to the large tier only when the
@@ -37,9 +39,9 @@
 //! # Determinism
 //!
 //! Routing decisions are pure functions of `(seed, prompt, attempt)`;
-//! fault schedules are endpoint-aware (each replica's [`SimBackend`] mixes
-//! its endpoint id into the slot draw); successes always return the inner
-//! model's completion. Answers are therefore bit-identical to a direct
+//! fault schedules are endpoint-aware (each replica's
+//! [`SimBackend`](unidm_llm::SimBackend) mixes its endpoint id into the
+//! slot draw); successes always return the inner model's completion. Answers are therefore bit-identical to a direct
 //! call whatever the fleet does, and a serial rerun reproduces
 //! [`RouterStats`] — including per-endpoint call counts — exactly.
 //!
@@ -67,13 +69,14 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use unidm_llm::{
-    Clock, Completion, Dice, FaultPlan, FaultStats, LanguageModel, LlmError, LlmProfile,
-    SimBackend, Usage, VirtualClock,
+    Clock, Completion, Dice, FaultPlan, FaultStats, LanguageModel, LlmError, LlmProfile, Usage,
+    VirtualClock,
 };
 
 use crate::backend::{
-    BackendConfig, BackendStats, BreakerPolicy, LatencySketch, RetryPolicy, TOKEN,
+    take_token, BackendConfig, BackendStats, BreakerPolicy, LatencySketch, RetryPolicy,
 };
+use crate::policy::{self, Breaker, Bucket, Endpoint, FaultTally};
 
 /// Hard cap on endpoints a [`RoutePlan`] can describe (the plan stores a
 /// fixed-size weight array to stay `Copy`/`Eq`/`Hash`). A `RoutedBackend`
@@ -87,16 +90,17 @@ pub const MAX_ROUTE_ENDPOINTS: usize = 8;
 /// rate trajectory is exact and the policy stays `Eq`/`Hash`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AimdPolicy {
-    /// Rate the endpoint starts at, in attempts per second.
+    /// Rate the endpoint starts at, in attempts per second (0 is treated
+    /// as 1).
     pub initial_per_sec: u64,
-    /// Floor of the multiplicative decrease.
+    /// Floor of the multiplicative decrease (0 is treated as 1).
     pub min_per_sec: u64,
     /// Ceiling of the additive increase.
     pub max_per_sec: u64,
     /// Attempts-per-second added per successful attempt (0 freezes the
     /// rate — a plain fixed token bucket).
     pub increase_per_sec: u64,
-    /// Bucket capacity (burst headroom), in attempts.
+    /// Bucket capacity (burst headroom), in attempts (0 is treated as 1).
     pub burst: u64,
 }
 
@@ -192,9 +196,10 @@ impl RoutePlan {
 pub struct EndpointConfig {
     /// Routing weight relative to the other endpoints (0 is treated as 1).
     pub weight: u32,
-    /// Fault-injection plan: when set, the router owns a [`SimBackend`]
-    /// over the endpoint's model, tagged with this endpoint's id so
-    /// replicas sharing a plan draw independent fault schedules.
+    /// Fault-injection plan: when set, the router owns a
+    /// [`SimBackend`](unidm_llm::SimBackend) over the endpoint's model,
+    /// tagged with this endpoint's id so replicas sharing a plan draw
+    /// independent fault schedules.
     pub faults: Option<FaultPlan>,
     /// Circuit breaker for this endpoint (`None` = none).
     pub breaker: Option<BreakerPolicy>,
@@ -456,162 +461,31 @@ impl RouterStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Health {
-    Closed,
-    Open,
-    HalfOpen,
-}
-
-#[derive(Debug)]
-struct Breaker {
-    policy: BreakerPolicy,
-    health: Health,
-    consecutive_failures: u32,
-    open_until_us: u64,
-}
-
-impl Breaker {
-    fn new(policy: BreakerPolicy) -> Self {
-        Breaker {
-            policy,
-            health: Health::Closed,
-            consecutive_failures: 0,
-            open_until_us: 0,
-        }
-    }
-
-    /// `Ok` to route here, `Err(remaining cooldown)` to skip. An expired
-    /// cooldown half-opens the breaker, admitting the caller as a probe.
-    fn admit(&mut self, now_us: u64) -> Result<(), u64> {
-        match self.health {
-            Health::Closed | Health::HalfOpen => Ok(()),
-            Health::Open => {
-                if now_us >= self.open_until_us {
-                    self.health = Health::HalfOpen;
-                    Ok(())
-                } else {
-                    Err(self.open_until_us - now_us)
-                }
-            }
-        }
-    }
-
-    fn success(&mut self) {
-        self.health = Health::Closed;
-        self.consecutive_failures = 0;
-    }
-
-    /// Records a failure; returns whether the breaker tripped
-    /// (transitioned to open) on this failure.
-    fn failure(&mut self, now_us: u64) -> bool {
-        self.consecutive_failures += 1;
-        let should_open = self.health == Health::HalfOpen
-            || self.consecutive_failures >= self.policy.failure_threshold;
-        if !should_open {
-            return false;
-        }
-        let tripped = self.health != Health::Open;
-        self.health = Health::Open;
-        self.open_until_us = now_us + self.policy.cooldown_us;
-        tripped
-    }
-}
-
-#[derive(Debug)]
-struct AimdBucket {
-    rate_per_sec: u64,
-    units: u64,
-    last_us: u64,
-}
-
-enum EndpointModel<'a> {
-    Direct(&'a dyn LanguageModel),
-    Sim(Box<SimBackend<'a>>),
-}
-
-impl EndpointModel<'_> {
-    fn model(&self) -> &dyn LanguageModel {
-        match self {
-            EndpointModel::Direct(m) => *m,
-            EndpointModel::Sim(sim) => sim.as_ref(),
-        }
+impl FaultTally for EndpointStats {
+    fn fault_counters(&mut self) -> [&mut u64; 3] {
+        [
+            &mut self.timeouts,
+            &mut self.rate_limited,
+            &mut self.transients,
+        ]
     }
 }
 
 struct EndpointState<'a> {
-    model: EndpointModel<'a>,
+    model: Endpoint<'a>,
     /// Address of the caller-supplied model, for usage deduplication:
     /// replicas over one shared inner model share one usage counter.
     origin: usize,
     weight: u64,
     cost_micro_per_token: u64,
     breaker: Option<Mutex<Breaker>>,
-    aimd: Option<(AimdPolicy, Mutex<AimdBucket>)>,
+    bucket: Option<Mutex<Bucket>>,
     stats: Mutex<EndpointStats>,
 }
 
 impl EndpointState<'_> {
     fn lock_stats(&self) -> MutexGuard<'_, EndpointStats> {
         self.stats.lock().expect("endpoint stats lock poisoned")
-    }
-
-    /// Takes one AIMD token, waiting on the clock if the bucket is empty.
-    /// Returns the time waited, in microseconds.
-    fn acquire_token(&self, clock: &Arc<dyn Clock>) -> u64 {
-        let Some((policy, bucket)) = &self.aimd else {
-            return 0;
-        };
-        let mut waited = 0u64;
-        loop {
-            let wait = {
-                let mut b = bucket.lock().expect("aimd bucket lock poisoned");
-                let now = clock.now_micros();
-                let elapsed = now.saturating_sub(b.last_us);
-                let refill = u128::from(elapsed) * u128::from(b.rate_per_sec);
-                let cap = u128::from(policy.burst) * u128::from(TOKEN);
-                b.units = (u128::from(b.units) + refill).min(cap) as u64;
-                b.last_us = now;
-                if b.units >= TOKEN {
-                    b.units -= TOKEN;
-                    return waited;
-                }
-                let deficit = TOKEN - b.units;
-                deficit.div_ceil(b.rate_per_sec.max(1))
-            };
-            clock.sleep_micros(wait);
-            waited += wait;
-        }
-    }
-
-    /// Additive increase on success; returns whether a step was applied.
-    fn aimd_success(&self) -> bool {
-        let Some((policy, bucket)) = &self.aimd else {
-            return false;
-        };
-        if policy.increase_per_sec == 0 {
-            return false;
-        }
-        let mut b = bucket.lock().expect("aimd bucket lock poisoned");
-        if b.rate_per_sec >= policy.max_per_sec {
-            return false;
-        }
-        b.rate_per_sec = (b.rate_per_sec + policy.increase_per_sec).min(policy.max_per_sec);
-        true
-    }
-
-    /// Multiplicative decrease on an observed 429; returns whether the
-    /// rate actually moved.
-    fn aimd_decrease(&self) -> bool {
-        let Some((policy, bucket)) = &self.aimd else {
-            return false;
-        };
-        let mut b = bucket.lock().expect("aimd bucket lock poisoned");
-        if b.rate_per_sec <= policy.min_per_sec {
-            return false;
-        }
-        b.rate_per_sec = (b.rate_per_sec / 2).max(policy.min_per_sec);
-        true
     }
 
     fn record_success(&self, completion: &Completion, latency_us: u64) {
@@ -688,36 +562,21 @@ impl<'a> RoutedBackend<'a> {
 
     /// Adds an endpoint (builder-style). The endpoint id is its index in
     /// insertion order; a [`FaultPlan`] in `config` becomes an owned
-    /// [`SimBackend`] tagged with that id, so replicas sharing a plan
-    /// draw independent fault schedules.
+    /// [`SimBackend`](unidm_llm::SimBackend) tagged with that id, so
+    /// replicas sharing a plan draw independent fault schedules.
     pub fn endpoint(mut self, model: &'a dyn LanguageModel, config: EndpointConfig) -> Self {
         let id = self.endpoints.len() as u64;
         let origin = model as *const dyn LanguageModel as *const () as usize;
-        let endpoint_model = match config.faults {
-            Some(plan) => EndpointModel::Sim(Box::new(
-                SimBackend::with_clock(model, plan, self.clock.clone()).with_endpoint(id),
-            )),
-            None => EndpointModel::Direct(model),
-        };
         let now = self.clock.now_micros();
         self.endpoints.push(EndpointState {
-            model: endpoint_model,
+            model: Endpoint::new(model, config.faults, &self.clock, Some(id)),
             origin,
             weight: u64::from(config.weight.max(1)),
             cost_micro_per_token: config.cost_micro_per_token,
             breaker: config
                 .breaker
                 .map(|policy| Mutex::new(Breaker::new(policy))),
-            aimd: config.aimd.map(|policy| {
-                (
-                    policy,
-                    Mutex::new(AimdBucket {
-                        rate_per_sec: policy.initial_per_sec.max(1),
-                        units: policy.burst.max(1) * TOKEN,
-                        last_us: now,
-                    }),
-                )
-            }),
+            bucket: config.aimd.map(|p| Mutex::new(Bucket::adaptive(p, now))),
             stats: Mutex::new(EndpointStats::default()),
         });
         self.name = self.display_name();
@@ -793,29 +652,19 @@ impl<'a> RoutedBackend<'a> {
     /// Merged fault-injection counters across all endpoint injectors
     /// (`None` when no endpoint has a fault plan).
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        let mut merged: Option<FaultStats> = None;
-        for endpoint in &self.endpoints {
-            if let EndpointModel::Sim(sim) = &endpoint.model {
-                let stats = sim.stats();
-                match &mut merged {
-                    Some(m) => m.merge(&stats),
-                    None => merged = Some(stats),
-                }
-            }
-        }
-        merged
+        self.endpoints
+            .iter()
+            .filter_map(|e| e.model.fault_stats())
+            .reduce(|mut merged, stats| {
+                merged.merge(&stats);
+                merged
+            })
     }
 
     /// The current AIMD rate of endpoint `index`, attempts per second
     /// (`None` when the endpoint has no bucket or does not exist).
     pub fn current_rate_per_sec(&self, index: usize) -> Option<u64> {
-        let (_, bucket) = self.endpoints.get(index)?.aimd.as_ref()?;
-        Some(
-            bucket
-                .lock()
-                .expect("aimd bucket lock poisoned")
-                .rate_per_sec,
-        )
+        Some(policy::lock(&self.endpoints.get(index)?.bucket)?.rate_per_sec())
     }
 
     fn lock_scalars(&self) -> MutexGuard<'_, RouterStats> {
@@ -830,10 +679,7 @@ impl<'a> RoutedBackend<'a> {
         let mut admissible: Vec<usize> = Vec::with_capacity(self.endpoints.len());
         let mut min_cooldown = u64::MAX;
         for (i, endpoint) in self.endpoints.iter().enumerate() {
-            let admitted = match &endpoint.breaker {
-                None => Ok(()),
-                Some(breaker) => breaker.lock().expect("breaker lock poisoned").admit(now),
-            };
+            let admitted = policy::lock(&endpoint.breaker).map_or(Ok(()), |mut b| b.admit(now));
             match admitted {
                 Ok(()) => admissible.push(i),
                 Err(remaining) => {
@@ -843,11 +689,8 @@ impl<'a> RoutedBackend<'a> {
             }
         }
         if admissible.is_empty() {
-            return Err(if min_cooldown == u64::MAX {
-                0
-            } else {
-                min_cooldown
-            });
+            // `complete` guarantees an endpoint, so some breaker set this.
+            return Err(min_cooldown);
         }
         let total: u64 = admissible.iter().map(|&i| self.endpoints[i].weight).sum();
         let roll = (self.dice.uniform(prompt, &format!("route-{attempt}")) * total as f64) as u64;
@@ -860,19 +703,6 @@ impl<'a> RoutedBackend<'a> {
             }
         }
         Ok(*admissible.last().expect("admissible is non-empty"))
-    }
-
-    /// Backoff before retry `n` (1-based) of `prompt`: exponential from
-    /// the policy base, capped, then jittered into `[50%, 100%]` by a
-    /// deterministic draw — the same scheme as the blocking stack.
-    fn backoff_us(&self, prompt: &str, retry: u32) -> u64 {
-        let policy = self.retry;
-        let doubled = policy
-            .base_backoff_us
-            .saturating_mul(1u64 << (retry - 1).min(32));
-        let ceiling = doubled.min(policy.max_backoff_us);
-        let jitter = self.dice.uniform(prompt, &format!("backoff-{retry}"));
-        ceiling / 2 + ((ceiling / 2) as f64 * jitter) as u64
     }
 }
 
@@ -901,25 +731,27 @@ impl LanguageModel for RoutedBackend<'_> {
                     if attempt == 0 {
                         endpoint.lock_stats().calls += 1;
                     }
-                    let waited = endpoint.acquire_token(&self.clock);
+                    let waited = take_token(&endpoint.bucket, self.clock.as_ref());
                     {
                         let mut stats = endpoint.lock_stats();
-                        if waited > 0 {
-                            stats.throttle_waits += 1;
-                            stats.throttle_wait_us += waited;
-                        }
-                        if endpoint.aimd.is_some() {
+                        if let Some(waited) = waited {
                             stats.rate_tokens += 1;
+                            if waited > 0 {
+                                stats.throttle_waits += 1;
+                                stats.throttle_wait_us += waited;
+                            }
                         }
                         stats.attempts += 1;
                     }
                     let attempt_start = self.clock.now_micros();
                     match endpoint.model.model().complete(prompt) {
                         Ok(completion) => {
-                            if let Some(breaker) = &endpoint.breaker {
-                                breaker.lock().expect("breaker lock poisoned").success();
+                            if let Some(mut b) = policy::lock(&endpoint.breaker) {
+                                b.success();
                             }
-                            if endpoint.aimd_success() {
+                            let increased =
+                                policy::lock(&endpoint.bucket).is_some_and(|mut b| b.increase());
+                            if increased {
                                 endpoint.lock_stats().aimd_increases += 1;
                             }
                             let now = self.clock.now_micros();
@@ -930,24 +762,16 @@ impl LanguageModel for RoutedBackend<'_> {
                             return Ok(completion);
                         }
                         Err(e) if e.is_transient() => {
-                            {
-                                let mut stats = endpoint.lock_stats();
-                                match &e {
-                                    LlmError::Timeout { .. } => stats.timeouts += 1,
-                                    LlmError::RateLimited { .. } => stats.rate_limited += 1,
-                                    LlmError::Transient { .. } => stats.transients += 1,
-                                    _ => {}
-                                }
-                            }
-                            if matches!(e, LlmError::RateLimited { .. }) && endpoint.aimd_decrease()
-                            {
+                            endpoint.lock_stats().tally(&e);
+                            let decreased = matches!(e, LlmError::RateLimited { .. })
+                                && policy::lock(&endpoint.bucket).is_some_and(|mut b| b.decrease());
+                            if decreased {
                                 endpoint.lock_stats().aimd_decreases += 1;
                             }
-                            if let Some(breaker) = &endpoint.breaker {
-                                let now = self.clock.now_micros();
-                                if breaker.lock().expect("breaker lock poisoned").failure(now) {
-                                    endpoint.lock_stats().breaker_trips += 1;
-                                }
+                            let tripped = policy::lock(&endpoint.breaker)
+                                .is_some_and(|mut b| b.failure(self.clock.now_micros()));
+                            if tripped {
+                                endpoint.lock_stats().breaker_trips += 1;
                             }
                             e
                         }
@@ -966,15 +790,7 @@ impl LanguageModel for RoutedBackend<'_> {
             }
             retry += 1;
             self.lock_scalars().retries += 1;
-            let mut backoff = self.backoff_us(prompt, retry);
-            // Honor server hints and breaker cooldowns, as the blocking
-            // stack does: sleeping less burns a retry on a guaranteed
-            // rejection.
-            match err {
-                LlmError::RateLimited { retry_after_us } => backoff = backoff.max(retry_after_us),
-                LlmError::CircuitOpen { cooldown_us } => backoff = backoff.max(cooldown_us),
-                _ => {}
-            }
+            let backoff = policy::backoff_us(&self.retry, &self.dice, prompt, retry, &err);
             self.clock.sleep_micros(backoff);
             attempt += 1;
         }
@@ -1444,6 +1260,31 @@ mod tests {
             "rate {rate} escaped [{}, {}]",
             aimd.min_per_sec,
             aimd.max_per_sec
+        );
+    }
+
+    #[test]
+    fn zero_burst_aimd_paces_like_burst_one() {
+        // A literal zero burst bypasses `AimdPolicy::fixed`'s clamp; it
+        // used to cap the bucket below one token, so the first call slept
+        // forever.
+        let llm = model();
+        let run = |aimd: AimdPolicy| {
+            let router =
+                RoutedBackend::new(3).endpoint(&llm, EndpointConfig::new().with_aimd(aimd));
+            for i in 0..5 {
+                router.complete(&format!("zero burst {i}")).unwrap();
+            }
+            (router.stats(), router.clock().now_micros())
+        };
+        let zero = run(AimdPolicy {
+            burst: 0,
+            ..AimdPolicy::fixed(5, 1)
+        });
+        assert_eq!(zero, run(AimdPolicy::fixed(5, 1)));
+        assert_eq!(
+            zero.0.endpoints[0].throttle_waits, 4,
+            "everything after the first waits"
         );
     }
 

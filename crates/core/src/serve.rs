@@ -76,6 +76,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use unidm_llm::{Dice, LanguageModel, TimerWheel, VirtualClock};
+use unidm_text::hash::{fnv1a, fnv1a_extend, FNV_OFFSET};
 
 use crate::backend::{AttachedBackend, LatencySketch};
 
@@ -144,16 +145,6 @@ fn goodput_per_ks(slo_met: u64, makespan_us: u64) -> u64 {
     (u128::from(slo_met) * 1_000_000_000)
         .checked_div(u128::from(makespan_us))
         .unwrap_or(0) as u64
-}
-
-/// 64-bit FNV-1a, the digest used for [`ServeReport::trace_fnv`].
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// How a tenant's requests arrive in virtual time.
@@ -415,20 +406,18 @@ impl ServeReport {
     /// FNV-1a digest of the event trace — the cheap handle for "these
     /// two runs were bit-identical".
     pub fn trace_fnv(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(self.trace.len() * 18);
-        for event in &self.trace {
-            bytes.extend_from_slice(&event.at_us.to_le_bytes());
-            bytes.extend_from_slice(&event.tenant.to_le_bytes());
-            bytes.extend_from_slice(&event.seq.to_le_bytes());
+        self.trace.iter().fold(FNV_OFFSET, |h, event| {
             let kind = match event.kind {
                 EventKind::Arrival => 0u8,
                 EventKind::Start => 1,
                 EventKind::Done { ok: true } => 2,
                 EventKind::Done { ok: false } => 3,
             };
-            bytes.push(kind);
-        }
-        fnv1a64(&bytes)
+            let h = fnv1a_extend(h, &event.at_us.to_le_bytes());
+            let h = fnv1a_extend(h, &event.tenant.to_le_bytes());
+            let h = fnv1a_extend(h, &event.seq.to_le_bytes());
+            fnv1a_extend(h, &[kind])
+        })
     }
 
     /// Overall SLO attainment, permille of all requests.
@@ -707,7 +696,7 @@ impl ServeSim {
                                 .get(request.prompt_index)
                                 .map(String::as_str)
                                 .unwrap_or("");
-                            if fnv1a64(prompt.as_bytes()) % workers != worker {
+                            if fnv1a(prompt.as_bytes()) % workers != worker {
                                 continue;
                             }
                             let Some(expected) = &outcome.answer else {

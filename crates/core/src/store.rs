@@ -73,6 +73,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use unidm_llm::{Completion, Usage};
+use unidm_text::hash::{fnv1a, FNV_PRIME};
 
 /// Leading magic of every `UDMCACHE1` store file.
 pub const STORE_MAGIC: &[u8; 8] = b"UDMCACHE";
@@ -82,19 +83,6 @@ pub const STORE_VERSION: u32 = 1;
 /// First line of the legacy v1 text snapshots [`CacheStore::import_v1`]
 /// migrates (deprecated; kept readable for one-shot conversion).
 pub const V1_SNAPSHOT_HEADER: &str = "unidm-prompt-cache v1";
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 // ── Little-endian primitives (the `tablestore::segment` idiom) ──────────
 

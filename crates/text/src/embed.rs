@@ -86,8 +86,11 @@ impl Embedding {
     }
 }
 
-/// FNV-1a 64-bit hash, implemented locally to stay dependency-free.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// The feature hash behind every embedding bucket: FNV-1a's shape, but
+/// with `0x1000_0000_01b3` as the prime instead of FNV's
+/// `0x100_0000_01b3`, so it is not FNV-1a (see [`crate::hash`]). Kept
+/// as is because every embedding depends on these exact bits.
+fn feature_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -176,7 +179,7 @@ impl Embedder {
     }
 
     fn bump(&self, v: &mut [f32], bytes: &[u8], weight: f32) {
-        let h = fnv1a(bytes);
+        let h = feature_hash(bytes);
         let idx = (h % self.dim as u64) as usize;
         // Second hash bit decides sign, which keeps expectation zero and
         // reduces collisions' systematic bias (feature hashing).
@@ -253,9 +256,9 @@ mod tests {
     #[test]
     fn fnv_spread() {
         // Hashes of similar strings should not collide into one bucket.
-        let h1 = fnv1a(b"abc") % 128;
-        let h2 = fnv1a(b"abd") % 128;
-        let h3 = fnv1a(b"abe") % 128;
+        let h1 = feature_hash(b"abc") % 128;
+        let h2 = feature_hash(b"abd") % 128;
+        let h3 = feature_hash(b"abe") % 128;
         assert!(!(h1 == h2 && h2 == h3));
     }
 }

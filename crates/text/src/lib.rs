@@ -13,6 +13,8 @@
 //! * [`mod@format`] — string format signatures (digit/letter/punctuation shape)
 //!   used by the TDE baseline and the error-detection generators.
 //! * [`normalize`] — canonicalisation helpers.
+//! * [`hash`] — 64-bit FNV-1a, the stable byte hash behind cache keys,
+//!   store checksums and trace digests.
 //!
 //! # Examples
 //!
@@ -35,6 +37,7 @@
 pub mod distance;
 pub mod embed;
 pub mod format;
+pub mod hash;
 pub mod normalize;
 pub mod tfidf;
 pub mod tokenize;
