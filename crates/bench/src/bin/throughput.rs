@@ -1,5 +1,5 @@
 //! Throughput of the batch execution engine — and the machine-readable
-//! perf baseline (`BENCH_10.json`) every future PR has to beat.
+//! perf baseline (`BENCH_<BASELINE_PR>.json`) every future PR has to beat.
 //!
 //! Regimes:
 //!
@@ -80,7 +80,7 @@
 //! ```text
 //! cargo run -p unidm-bench --release --bin throughput            # paper scale
 //! cargo run -p unidm-bench --release --bin throughput -- --quick # smoke scale
-//! cargo run -p unidm-bench --release --bin throughput -- --bench-json out/BENCH_10.json
+//! cargo run -p unidm-bench --release --bin throughput -- --bench-json out/baseline.json
 //! cargo run -p unidm-bench --release --bin throughput -- --faults heavy --rate-limit 200
 //! cargo run -p unidm-bench --release --bin throughput -- --route 4 # fleet behind the standard regimes
 //! cargo run -p unidm-bench --release --bin throughput -- --scale-only --scale-rows 100000
@@ -96,7 +96,7 @@ use unidm::{
     Task,
 };
 use unidm_bench::alloc_counter::{self, AllocationDelta};
-use unidm_bench::{config_from_args, CallCounter, JsonObject};
+use unidm_bench::{baseline_json_path, config_from_args, CallCounter, JsonObject, BASELINE_PR};
 use unidm_llm::{Clock, Completion, FaultPlan, LanguageModel, LlmProfile, MockLlm, Usage};
 use unidm_synthdata::imputation;
 use unidm_synthdata::scale::{ScaleSpec, TABLE_NAME as SCALE_TABLE};
@@ -180,7 +180,7 @@ fn bench_json_path() -> PathBuf {
         .and_then(|pos| args.get(pos + 1))
         .filter(|path| !path.starts_with("--"))
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_10.json"))
+        .unwrap_or_else(baseline_json_path)
 }
 
 /// Parses `--scale-only` and `--scale-rows N` (default 10^6, or 10^5
@@ -1463,7 +1463,7 @@ fn main() {
     // ── Out-of-core scale regime ────────────────────────────────────────
     let scale_json = run_scale(&llm, config.seed, scale_rows);
 
-    // ── BENCH_10.json: the machine-readable baseline ────────────────────
+    // ── BENCH_<BASELINE_PR>.json: the machine-readable baseline ─────────
     let store_section = |s: &unidm::StoreStats| {
         JsonObject::new()
             .field_u64("hits", s.hits as u64)
@@ -1523,7 +1523,7 @@ fn main() {
         .finish();
     let regime_json: Vec<String> = regimes.iter().map(Regime::to_json).collect();
     let mut doc = JsonObject::new()
-        .field_u64("pr", 10)
+        .field_u64("pr", BASELINE_PR)
         .field_str("bench", "throughput")
         .field_str("model", llm.name())
         .field_u64("seed", config.seed)

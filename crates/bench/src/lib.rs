@@ -13,9 +13,10 @@
 //! pipeline stages, substrate operations, and the canonicalizer hot path.
 //!
 //! The crate also hosts the perf-baseline instrumentation the `throughput`
-//! binary uses to emit `BENCH_9.json`: a counting global allocator
-//! ([`alloc_counter`]), an endpoint-call counter ([`CallCounter`]), and a
-//! dependency-free JSON writer ([`JsonObject`]).
+//! and `serving` binaries use to emit the committed baseline
+//! `BENCH_<BASELINE_PR>.json` ([`BASELINE_PR`]): a counting global
+//! allocator ([`alloc_counter`]), an endpoint-call counter
+//! ([`CallCounter`]), and a dependency-free JSON writer ([`JsonObject`]).
 
 // `deny` rather than `forbid`: the counting global allocator must
 // implement `GlobalAlloc`, which is an unsafe trait; that one module opts
@@ -23,6 +24,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -30,6 +32,16 @@ use unidm_eval::{BackendConfig, CacheConfig, ExperimentConfig, RoutePlan};
 use unidm_llm::{Completion, FaultPlan, LanguageModel, LlmError, Usage};
 
 pub mod alloc_counter;
+
+/// The change whose committed baseline the bench binaries write: the
+/// `"pr"` field of their JSON and their default output,
+/// `BENCH_<BASELINE_PR>.json` ([`baseline_json_path`]).
+pub const BASELINE_PR: u64 = 13;
+
+/// The default `--bench-json` output, `BENCH_<BASELINE_PR>.json`.
+pub fn baseline_json_path() -> PathBuf {
+    PathBuf::from(format!("BENCH_{BASELINE_PR}.json"))
+}
 
 /// Route every allocation of the bench binaries through the counting
 /// allocator, so perf regimes can assert exact allocation counts (the

@@ -87,10 +87,11 @@ use crate::{PipelineConfig, UniDmError};
 pub struct CacheStats {
     /// Completions served from the cache.
     pub hits: usize,
-    /// Completions that had to go to the model. With single-flight
-    /// coalescing this counts **leaders only**, so for a fixed workload it
-    /// equals the number of unique canonical keys completed — exactly,
-    /// under every interleaving.
+    /// Tier-0 misses; a disk tier below may still serve them (see
+    /// [`StoreStats::hits`]). With single-flight coalescing this counts
+    /// **leaders only**, so for a fixed workload it equals the number of
+    /// unique canonical keys completed — exactly, under every
+    /// interleaving.
     pub misses: usize,
     /// Lookups that arrived while the same canonical key was already in
     /// flight and shared the leader's completion instead of issuing their

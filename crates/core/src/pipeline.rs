@@ -18,7 +18,7 @@ use unidm_llm::protocol::{
 use unidm_llm::{LanguageModel, Usage, UsageMeter};
 use unidm_tablestore::{DataLake, Table};
 
-use crate::retrieval::{instance_wise, meta_wise, Context};
+use crate::retrieval::{instance_wise, meta_wise, window_fit, Context};
 use crate::task::Task;
 use crate::{parsing, prompting, PipelineConfig, UniDmError};
 
@@ -317,18 +317,7 @@ impl<'a> UniDm<'a> {
             demo_records.shuffle(&mut rng);
             demo_records.truncate(self.config.sample_size);
             // Respect the model's context window (entity pairs are long).
-            let budget = llm.context_window().saturating_sub(256);
-            let mut used = unidm_text::count_tokens(&query_text) + 64;
-            let mut fit = 0usize;
-            for rec in &demo_records {
-                let cost = unidm_text::count_tokens(&rec.render()) + 4;
-                if used + cost > budget {
-                    break;
-                }
-                used += cost;
-                fit += 1;
-            }
-            demo_records.truncate(fit.max(1));
+            demo_records.truncate(window_fit(llm, &query_text, &demo_records));
             let prompt = unidm_llm::protocol::render_pri(
                 unidm_llm::protocol::TaskKind::EntityResolution,
                 &query_text,

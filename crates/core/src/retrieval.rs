@@ -33,6 +33,31 @@ pub struct Context {
     pub records: Vec<SerializedRecord>,
 }
 
+/// How many leading `candidates` fit in the model's context window next to
+/// `query` in one `p_ri` scoring prompt (at least one, at most all).
+///
+/// The window keeps 256 tokens in reserve; the query costs its tokens plus
+/// 64 for the instructions, each candidate its rendered tokens plus 4. Only
+/// small windows (e.g. GPT-J's 2k) ever drop trailing candidates.
+pub(crate) fn window_fit(
+    llm: &dyn LanguageModel,
+    query: &str,
+    candidates: &[SerializedRecord],
+) -> usize {
+    let budget = llm.context_window().saturating_sub(256);
+    let mut used = unidm_text::count_tokens(query) + 64;
+    let mut fit = 0usize;
+    for candidate in candidates {
+        let cost = unidm_text::count_tokens(&candidate.render()) + 4;
+        if used + cost > budget {
+            break;
+        }
+        used += cost;
+        fit += 1;
+    }
+    fit.max(1).min(candidates.len())
+}
+
 /// Runs meta-wise retrieval over the table's other attributes.
 ///
 /// Returns the selected helper attributes (at least one; falls back to a
@@ -144,20 +169,7 @@ pub fn instance_wise(
         for &row in &sampled {
             instances.push(serialize_row(row)?);
         }
-        // Keep the scoring prompt inside the model's context window: drop
-        // trailing candidates when the window is small (e.g. GPT-J's 2k).
-        let budget = llm.context_window().saturating_sub(256);
-        let mut used = unidm_text::count_tokens(query) + 64;
-        let mut fit = 0usize;
-        for inst in &instances {
-            let cost = unidm_text::count_tokens(&inst.render()) + 4;
-            if used + cost > budget {
-                break;
-            }
-            used += cost;
-            fit += 1;
-        }
-        let instances = &instances[..fit.max(1).min(instances.len())];
+        let instances = &instances[..window_fit(llm, query, &instances)];
         let sampled = &sampled[..instances.len()];
         let prompt = render_pri(task, query, instances);
         let reply = llm.complete(&prompt)?;
@@ -260,6 +272,25 @@ mod tests {
             assert!(r.get("name").is_some());
             assert!(r.get("city").is_some());
         }
+    }
+
+    #[test]
+    fn window_fit_drops_the_tail_but_keeps_one() {
+        let world = World::generate(7);
+        let fit = |window: usize, n: usize| {
+            let mut profile = LlmProfile::gpt3_175b();
+            profile.context_window = window;
+            let llm = MockLlm::new(&world, profile, 1);
+            // "note: abcd" is 3 tokens, so each candidate costs 3 + 4.
+            let candidates = vec![SerializedRecord::new(vec![("note".into(), "abcd".into())]); n];
+            window_fit(&llm, "q", &candidates)
+        };
+        // Reserve 256, query 1 + 64, then exactly three candidates.
+        assert_eq!(fit(256 + 65 + 3 * 7, 10), 3);
+        assert_eq!(fit(256 + 65 + 3 * 7 - 1, 10), 2);
+        assert_eq!(fit(0, 10), 1);
+        assert_eq!(fit(16_384, 10), 10);
+        assert_eq!(fit(0, 0), 0);
     }
 
     #[test]

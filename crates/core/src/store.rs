@@ -38,7 +38,10 @@
 //! Opening a store scans every frame once to build an in-memory index
 //! (canonical prompt → file offset); afterwards a disk hit is one seek +
 //! one bounded read through a single handle — paged access without
-//! holding completions resident. A truncated or garbled tail, a wrong
+//! holding completions resident. Each resident prompt is held once: the
+//! index and the FIFO admission queue share one `Arc<str>` allocation,
+//! and a hit refreshes its entry's generation in place rather than
+//! re-inserting a fresh key. A truncated or garbled tail, a wrong
 //! version, or a wrong model name fails the open with a clean
 //! [`StoreError`] and **no mutation of the file**, so callers can fall
 //! back cold exactly like the v1 snapshot path did.
@@ -441,11 +444,14 @@ struct IndexEntry {
 
 struct StoreState {
     file: File,
-    index: HashMap<Box<str>, IndexEntry>,
+    /// Canonical prompt → frame location. Each key is the same `Arc<str>`
+    /// allocation its `queue` slot holds: one copy of a prompt per store.
+    /// A disk hit refreshes the entry's generation in place.
+    index: HashMap<Arc<str>, IndexEntry>,
     /// Admission order of resident keys: the deterministic FIFO victim
-    /// queue. Displaced keys are removed lazily (the index is
-    /// authoritative).
-    queue: VecDeque<Box<str>>,
+    /// queue, sharing its keys with `index`. Displaced keys are removed
+    /// lazily (the index is authoritative).
+    queue: VecDeque<Arc<str>>,
     filter: TinyLfu,
     /// Frames physically in the file, live or dead — compaction trigger.
     frames: usize,
@@ -630,11 +636,8 @@ impl CacheStore {
                 continue;
             }
             filter.touch(fnv1a(prompt.as_bytes()));
-            if index
-                .insert(prompt.clone().into_boxed_str(), entry)
-                .is_none()
-            {
-                queue.push_back(prompt.into_boxed_str());
+            if index.insert(Arc::clone(&prompt), entry).is_none() {
+                queue.push_back(prompt);
             }
         }
         let file = OpenOptions::new().read(true).append(true).open(&path)?;
@@ -707,8 +710,9 @@ impl CacheStore {
     /// Corrupt frames discovered at read time (the file changed under
     /// us) drop the entry and miss, never panic.
     pub fn get(&self, prompt: &str) -> Option<Arc<Completion>> {
-        let mut state = self.lock();
-        let Some(mut entry) = state.index.get(prompt).copied() else {
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        let Some(entry) = state.index.get_mut(prompt) else {
             state.stats.misses += 1;
             // Missed probes still teach the filter: the second sighting
             // of a key is what earns it admission at capacity.
@@ -719,7 +723,6 @@ impl CacheStore {
             Ok((_, stored_prompt, completion)) if stored_prompt == prompt => {
                 state.stats.hits += 1;
                 entry.generation = self.inner.generation;
-                state.index.insert(prompt.into(), entry);
                 state.filter.touch(fnv1a(prompt.as_bytes()));
                 Some(Arc::new(completion))
             }
@@ -801,15 +804,16 @@ impl CacheStore {
         state.file.write_all(&frame)?;
         state.file.flush()?;
         state.frames += 1;
+        let key: Arc<str> = prompt.into();
         state.index.insert(
-            prompt.into(),
+            Arc::clone(&key),
             IndexEntry {
                 offset,
                 frame_len: frame.len(),
                 generation: self.inner.generation,
             },
         );
-        state.queue.push_back(prompt.into());
+        state.queue.push_back(key);
         Ok(())
     }
 
@@ -823,8 +827,11 @@ impl CacheStore {
     /// one, never a torn store.
     pub fn compact(&self) -> Result<usize, StoreError> {
         let mut state = self.lock();
-        let mut live: Vec<(Box<str>, IndexEntry)> =
-            state.index.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        let mut live: Vec<(Arc<str>, IndexEntry)> = state
+            .index
+            .iter()
+            .map(|(k, v)| (Arc::clone(k), *v))
+            .collect();
         live.sort_by(|a, b| a.0.cmp(&b.0));
         let dropped = state.frames - live.len();
 
@@ -839,14 +846,14 @@ impl CacheStore {
             }
             let frame = encode_frame(entry.generation, prompt, &completion);
             new_index.insert(
-                prompt.clone(),
+                Arc::clone(prompt),
                 IndexEntry {
                     offset: out.len() as u64,
                     frame_len: frame.len(),
                     generation: entry.generation,
                 },
             );
-            new_queue.push_back(prompt.clone());
+            new_queue.push_back(Arc::clone(prompt));
             out.extend_from_slice(&frame);
         }
 
@@ -916,7 +923,7 @@ impl CacheStore {
 /// What scanning an existing store file yields.
 struct StoreScan {
     /// Last-wins live entries, in file order of their winning frame.
-    entries: Vec<(String, IndexEntry)>,
+    entries: Vec<(Arc<str>, IndexEntry)>,
     /// Total frames physically present (live + superseded).
     frames: usize,
     max_generation: u64,
@@ -941,8 +948,8 @@ fn scan_store(bytes: &[u8], model: &str) -> Result<StoreScan, StoreError> {
             found,
         });
     }
-    let mut by_prompt: HashMap<String, usize> = HashMap::new();
-    let mut entries: Vec<(String, IndexEntry)> = Vec::new();
+    let mut by_prompt: HashMap<Arc<str>, usize> = HashMap::new();
+    let mut entries: Vec<(Arc<str>, IndexEntry)> = Vec::new();
     let mut frames = 0usize;
     let mut max_generation = 0u64;
     while cur.pos < bytes.len() {
@@ -965,10 +972,11 @@ fn scan_store(bytes: &[u8], model: &str) -> Result<StoreScan, StoreError> {
         };
         // Last frame for a prompt wins (a re-admission after displacement
         // appends a fresh frame).
-        match by_prompt.get(&prompt) {
+        match by_prompt.get(prompt.as_str()) {
             Some(&slot) => entries[slot].1 = entry,
             None => {
-                by_prompt.insert(prompt.clone(), entries.len());
+                let prompt: Arc<str> = prompt.into();
+                by_prompt.insert(Arc::clone(&prompt), entries.len());
                 entries.push((prompt, entry));
             }
         }
@@ -1243,6 +1251,49 @@ mod tests {
         drop(store);
         let reopened = CacheStore::open(&path, "m", config).unwrap();
         assert_eq!(reopened.canonical_prompts(), vec!["c", "d"]);
+        cleanup(&path);
+    }
+
+    /// Every index key is the very allocation its queue slot holds, and
+    /// nothing else holds it.
+    fn assert_one_copy_per_prompt(store: &CacheStore) {
+        let state = store.lock();
+        assert_eq!(state.index.len(), state.queue.len());
+        for key in state.index.keys() {
+            assert!(
+                state.queue.iter().any(|q| Arc::ptr_eq(q, key)),
+                "index key {key:?} not shared with the queue"
+            );
+            assert_eq!(Arc::strong_count(key), 2, "{key:?}");
+        }
+    }
+
+    #[test]
+    fn index_and_queue_share_one_allocation_per_prompt() {
+        let path = temp_path("sharing");
+        let store = CacheStore::open(&path, "m", StoreConfig::default()).unwrap();
+        for key in ["b", "a", "c"] {
+            assert!(store.offer(key, &completion(key, 1)));
+        }
+        assert_one_copy_per_prompt(&store);
+
+        drop(store);
+        let reopened = CacheStore::open(&path, "m", StoreConfig::default()).unwrap();
+        assert_one_copy_per_prompt(&reopened);
+        // A hit refreshes the generation in place: same key allocation.
+        let before = Arc::as_ptr(reopened.lock().index.get_key_value("a").unwrap().0);
+        assert_eq!(reopened.get("a").unwrap().text, "a");
+        let state = reopened.lock();
+        let (key, entry) = state.index.get_key_value("a").unwrap();
+        assert_eq!(Arc::as_ptr(key), before);
+        assert_eq!(entry.generation, 2);
+        drop(state);
+        assert_one_copy_per_prompt(&reopened);
+
+        reopened.compact().unwrap();
+        assert_one_copy_per_prompt(&reopened);
+        assert!(reopened.offer("d", &completion("d", 1)));
+        assert_one_copy_per_prompt(&reopened);
         cleanup(&path);
     }
 

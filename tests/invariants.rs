@@ -83,6 +83,48 @@ fn token_count_monotone() {
     }
 }
 
+/// The lexing definition `count_tokens` must reproduce exactly: one token
+/// per started four-character chunk of every `lex` token.
+fn lexed_token_count(s: &str) -> usize {
+    unidm_text::tokenize::lex(s)
+        .iter()
+        .map(|t| t.chars().count().div_ceil(4).max(1))
+        .sum()
+}
+
+#[test]
+fn token_count_equals_lexing_reference() {
+    let mut g = Gen::new(0x70c2);
+    for _ in 0..CASES {
+        let s = g.string(ANY, 200);
+        assert_eq!(unidm_text::count_tokens(&s), lexed_token_count(&s), "{s:?}");
+    }
+    // Every cell of the world's Restaurant and Buy tables, and every
+    // rendered row: the strings the retrieval window fit actually prices.
+    let world = unidm_world::World::generate(7);
+    for table in [
+        unidm_synthdata::imputation::restaurant_table(&world),
+        unidm_synthdata::imputation::buy_table(&world),
+    ] {
+        let attrs: Vec<&str> = table.schema().names().collect();
+        for row in table.iter_rows() {
+            let pairs: Vec<(String, String)> = attrs
+                .iter()
+                .zip(row.values())
+                .map(|(a, v)| (a.to_string(), v.to_string()))
+                .collect();
+            for (_, cell) in &pairs {
+                assert_eq!(unidm_text::count_tokens(cell), lexed_token_count(cell));
+            }
+            let rendered = unidm_llm::protocol::SerializedRecord::new(pairs).render();
+            assert_eq!(
+                unidm_text::count_tokens(&rendered),
+                lexed_token_count(&rendered)
+            );
+        }
+    }
+}
+
 #[test]
 fn confusion_f1_bounded() {
     let mut g = Gen::new(0xf1);
