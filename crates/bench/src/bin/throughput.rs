@@ -5,13 +5,15 @@
 //!
 //! * **serial / batched / cold cache / warm cache** — the classic ladder:
 //!   one worker, the work-stealing pool, the pool over a cold sharded
-//!   [`PromptCache`] at [`CanonLevel::TableStem`], and the pool over a
-//!   fresh cache restored from the cold run's snapshot.
+//!   [`PromptCache`] at [`CanonLevel::TableStem`], and the same batch
+//!   replayed on the cold run's cache (that pass's own statistics).
 //! * **cold store / warm store** — the tiered store: the same workload
 //!   with a [`CacheStore`] disk tier beneath the cache. The cold run
 //!   populates a fresh `UDMCACHE1` file (every unique key admitted); the
 //!   warm run reopens it under a *fresh* tier 0 — a cold process image —
-//!   and must answer entirely from disk: **zero** model calls. A
+//!   and must answer entirely from disk: **zero** model calls. Both
+//!   assert the tier identity: tier-0 misses equal disk hits plus disk
+//!   misses, and disk misses equal model calls. A
 //!   scan-resistance pass then streams 10^5 distinct one-touch keys at a
 //!   capacity-bounded store and asserts the TinyLFU filter rejects every
 //!   one, keeping the hot set's hit rate at 100%; a churn pass displaces
@@ -91,9 +93,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use unidm::{
-    AimdPolicy, BackendConfig, BatchRunner, CacheStore, CanonLevel, CascadeBackend, CascadePolicy,
-    Dispatcher, HedgePolicy, PipelineConfig, PromptCache, RoutePlan, RoutedBackend, StoreConfig,
-    Task,
+    AimdPolicy, BackendConfig, BatchRunner, CacheStats, CacheStore, CanonLevel, CascadeBackend,
+    CascadePolicy, Dispatcher, HedgePolicy, PipelineConfig, PromptCache, RoutePlan, RoutedBackend,
+    StoreConfig, StoreStats, Task,
 };
 use unidm_bench::alloc_counter::{self, AllocationDelta};
 use unidm_bench::{baseline_json_path, config_from_args, CallCounter, JsonObject, BASELINE_PR};
@@ -129,8 +131,8 @@ struct Regime {
     elapsed_secs: f64,
     model_tokens: usize,
     model_calls: u64,
-    stats: Option<unidm::CacheStats>,
-    shard_stats: Vec<unidm::CacheStats>,
+    stats: Option<CacheStats>,
+    shard_stats: Vec<CacheStats>,
 }
 
 impl Regime {
@@ -155,7 +157,33 @@ impl Regime {
     }
 }
 
-fn print_shards(shards: &[unidm::CacheStats]) {
+/// The traffic one cache saw between two of its stats snapshots.
+fn since(after: CacheStats, before: CacheStats) -> CacheStats {
+    CacheStats {
+        hits: after.hits - before.hits,
+        misses: after.misses - before.misses,
+        coalesced: after.coalesced - before.coalesced,
+        evictions: after.evictions - before.evictions,
+        tokens_saved: after.tokens_saved - before.tokens_saved,
+    }
+}
+
+/// The tier identity of a store-backed regime: every tier-0 miss probed
+/// the disk tier once, and every disk miss became one model call.
+fn assert_tier_identity(name: &str, regime: &Regime, store: &StoreStats) {
+    let cache = regime.stats.expect("store regimes are cached");
+    assert_eq!(
+        cache.misses,
+        store.hits + store.misses,
+        "{name}: tier-0 misses must equal disk hits + disk misses"
+    );
+    assert_eq!(
+        store.misses as u64, regime.model_calls,
+        "{name}: disk misses must equal model calls"
+    );
+}
+
+fn print_shards(shards: &[CacheStats]) {
     for (i, s) in shards.iter().enumerate() {
         if s.lookups() == 0 {
             continue;
@@ -372,10 +400,6 @@ fn main() {
         .collect();
     let pipeline = PipelineConfig::paper_default().with_seed(config.seed);
     let workers = BatchRunner::new(&llm, pipeline).workers();
-    let snapshot_path = config.cache.snapshot_dir.as_ref().map(|dir| {
-        let _ = std::fs::create_dir_all(dir);
-        dir.join(format!("throughput-seed{}.promptcache", config.seed))
-    });
 
     println!(
         "Batch throughput: {} imputation tasks (Restaurant), {} workers, model {}, \
@@ -394,6 +418,11 @@ fn main() {
      -> (Regime, unidm::BatchReport) {
         llm.reset_usage();
         llm.reset_calls();
+        // Each regime reports its own pass: a replay on a used cache
+        // subtracts the traffic that came before it.
+        let before = cache
+            .map(|c| (c.stats(), c.shard_stats()))
+            .unwrap_or_default();
         let model: &dyn LanguageModel = match cache {
             Some(cache) => cache,
             None => &llm,
@@ -416,8 +445,13 @@ fn main() {
                 elapsed_secs,
                 model_tokens: llm.usage().total(),
                 model_calls: llm.calls(),
-                stats: cache.map(PromptCache::stats),
-                shard_stats: cache.map(PromptCache::shard_stats).unwrap_or_default(),
+                stats: cache.map(|c| since(c.stats(), before.0)),
+                shard_stats: cache
+                    .map(|c| {
+                        let after = c.shard_stats().into_iter();
+                        after.zip(&before.1).map(|(a, b)| since(a, *b)).collect()
+                    })
+                    .unwrap_or_default(),
             },
             report,
         )
@@ -426,33 +460,12 @@ fn main() {
     let (serial, _) = run("serial", None, &tasks, 1, false);
     let (batched, _) = run("batched", None, &tasks, workers, false);
 
-    // Cold cache: canonicalized, sharded, starting empty (or from a prior
-    // invocation's snapshot when --cache-dir is given).
+    // Cold cache: canonicalized, sharded, starting empty.
     let cold_cache = PromptCache::unbounded(&llm).with_canonicalization(CanonLevel::TableStem);
-    if let Some(path) = &snapshot_path {
-        if path.exists() {
-            match cold_cache.load_from(path) {
-                Ok(n) => println!("(loaded {n} entries from {})", path.display()),
-                Err(e) => println!("(cold start: {e})"),
-            }
-        }
-    }
     let (cold, _) = run("cold cache", Some(&cold_cache), &tasks, workers, false);
 
-    // Warm cache: a fresh cache restored from the cold run's snapshot —
-    // the state a repeated eval run starts from.
-    let snapshot = cold_cache.snapshot();
-    let warm_cache = PromptCache::unbounded(&llm).with_canonicalization(CanonLevel::TableStem);
-    warm_cache
-        .restore(&snapshot)
-        .expect("snapshot written by this process must restore");
-    let (warm, _) = run("warm cache", Some(&warm_cache), &tasks, workers, false);
-    if let Some(path) = &snapshot_path {
-        match warm_cache.save_to(path) {
-            Ok(()) => println!("(saved snapshot to {})", path.display()),
-            Err(e) => println!("(snapshot not saved: {e})"),
-        }
-    }
+    // Warm cache: the same batch replayed on the cold run's cache.
+    let (warm, _) = run("warm cache", Some(&cold_cache), &tasks, workers, false);
 
     // ── Duplicate-heavy regimes ─────────────────────────────────────────
     // The same tasks, each repeated DUP_FACTOR times, interleaved — the
@@ -584,6 +597,7 @@ fn main() {
         "the disk tier must never change answers"
     );
     let store_cold_stats = cold_store.stats();
+    assert_tier_identity("cold store", &store_cold, &store_cold_stats);
     assert_eq!(store_cold_stats.hits, 0, "a fresh store has nothing to hit");
     assert_eq!(
         store_cold_stats.misses as u64, store_cold.model_calls,
@@ -615,6 +629,7 @@ fn main() {
         "warm replay from the disk tier must use zero model calls"
     );
     let store_warm_stats = warm_store.stats();
+    assert_tier_identity("warm store", &store_warm, &store_warm_stats);
     assert_eq!(
         store_warm_stats.hits, store_cold_stats.misses,
         "every unique canonical key replays from disk"
@@ -1445,11 +1460,9 @@ fn main() {
         regimes[3].model_tokens,
         regimes[2].model_tokens,
     );
-    // >= rather than >: with --cache-dir, a repeat invocation's "cold"
-    // regime loads the persisted snapshot and both regimes hit 100%.
     assert!(
-        warm_stats.hit_rate() >= cold_stats.hit_rate(),
-        "warm hit rate should not trail cold: {:.2} vs {:.2}",
+        warm_stats.hit_rate() > cold_stats.hit_rate(),
+        "warm hit rate should beat cold: {:.2} vs {:.2}",
         warm_stats.hit_rate(),
         cold_stats.hit_rate(),
     );
@@ -1464,7 +1477,7 @@ fn main() {
     let scale_json = run_scale(&llm, config.seed, scale_rows);
 
     // ── BENCH_<BASELINE_PR>.json: the machine-readable baseline ─────────
-    let store_section = |s: &unidm::StoreStats| {
+    let store_section = |s: &StoreStats| {
         JsonObject::new()
             .field_u64("hits", s.hits as u64)
             .field_u64("misses", s.misses as u64)
@@ -1510,7 +1523,7 @@ fn main() {
                 .finish(),
         )
         .finish();
-    let canon_level_json = |s: &unidm::CacheStats| {
+    let canon_level_json = |s: &CacheStats| {
         JsonObject::new()
             .field_u64("hits", s.hits as u64)
             .field_u64("misses", s.misses as u64)

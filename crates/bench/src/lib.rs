@@ -36,7 +36,7 @@ pub mod alloc_counter;
 /// The change whose committed baseline the bench binaries write: the
 /// `"pr"` field of their JSON and their default output,
 /// `BENCH_<BASELINE_PR>.json` ([`baseline_json_path`]).
-pub const BASELINE_PR: u64 = 13;
+pub const BASELINE_PR: u64 = 14;
 
 /// The default `--bench-json` output, `BENCH_<BASELINE_PR>.json`.
 pub fn baseline_json_path() -> PathBuf {
@@ -200,8 +200,9 @@ pub fn json_escape(text: &str) -> String {
 /// * `--seed N` overrides the seed;
 /// * `--cache` routes driver traffic through a canonicalizing sharded
 ///   prompt cache (in-memory);
-/// * `--cache-dir DIR` additionally persists per-scenario snapshots under
-///   `DIR`, so repeating the same bench invocation starts warm;
+/// * `--cache-dir DIR` additionally backs the cache with one disk-tier
+///   store per model under `DIR/seed<N>` (the simulated models answer
+///   per seed), so repeating the same bench invocation starts warm;
 /// * `--faults [none|light|moderate|heavy]` routes driver traffic through
 ///   the resilient backend over a seeded fault injector (`moderate` when
 ///   the level is omitted);
@@ -230,11 +231,12 @@ pub fn config_from_args() -> ExperimentConfig {
     if let Some(pos) = args.iter().position(|a| a == "--cache-dir") {
         match args.get(pos + 1) {
             Some(dir) if !dir.starts_with("--") => {
-                config.cache = CacheConfig::enabled().with_snapshot_dir(dir);
+                let dir = PathBuf::from(dir).join(format!("seed{}", config.seed));
+                config.cache = CacheConfig::enabled().with_store_dir(dir);
             }
             _ => eprintln!(
                 "warning: --cache-dir requires a directory argument; \
-                 snapshot persistence disabled"
+                 cache persistence disabled"
             ),
         }
     }

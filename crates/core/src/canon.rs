@@ -570,8 +570,8 @@ impl PromptKey {
     /// selection.
     ///
     /// Stable across runs and platforms (it hashes the canonical text's
-    /// bytes, not `Hasher` state), so persisted snapshots reload into the
-    /// same shards. Because canonicalization is idempotent, the canonical
+    /// bytes, not `Hasher` state), so a key lands in the same shard in
+    /// every process. Because canonicalization is idempotent, the canonical
     /// text determines the key — hashing the text alone is collision-free
     /// across distinct keys up to FNV collisions.
     pub fn hash64(&self) -> u64 {

@@ -1,6 +1,6 @@
 //! Parallel batch execution: a work-stealing worker pool fanning
 //! [`UniDm`] runs over many tasks, and a sharded, canonicalizing,
-//! single-flight, persistable prompt cache deduplicating repeated LLM
+//! single-flight, disk-backed prompt cache deduplicating repeated LLM
 //! calls.
 //!
 //! The paper's experiments (Tables 1–11) execute thousands of independent
@@ -34,9 +34,10 @@
 //!   ([`CacheStats::coalesced`] counts them). Because misses complete the
 //!   canonical text against a deterministic substrate, coalesced answers
 //!   are bit-identical to what each caller would have fetched itself.
-//! * **Persistence** — [`PromptCache::save_to`] / [`PromptCache::load_from`]
-//!   snapshot the memo in a versioned text format, so a second eval run
-//!   starts warm and answers its first prompts without any model call.
+//! * **Persistence** — [`PromptCache::with_store`] attaches a
+//!   [`CacheStore`] disk tier that every admitted miss is appended to, so
+//!   a second eval run over the same file starts warm and answers its
+//!   first prompts without any model call.
 //!
 //! [`BatchRunner`] adds scheduler-level deduplication on top: a
 //! pre-dispatch planner groups byte-identical tasks, runs one
@@ -68,7 +69,6 @@
 //! ```
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -135,14 +135,10 @@ impl CacheStats {
     }
 }
 
-/// One memoized completion: the shared payload plus its last-use stamp.
+/// One memoized completion: the shared payload plus its second-chance bit.
 #[derive(Debug)]
 struct CacheEntry {
     completion: Arc<Completion>,
-    /// Last-use stamp from the cache-wide clock; comparable across shards,
-    /// which is what lets snapshot compaction keep the globally
-    /// most-recent entries.
-    stamp: u64,
     /// Second-chance bit: set on every hit, cleared when the clock hand
     /// sweeps past. An entry is evicted only if the hand finds the bit
     /// clear — i.e. it was not used for a whole revolution.
@@ -230,35 +226,31 @@ struct CacheInner {
 }
 
 impl CacheInner {
-    /// Inserts (or refreshes) `text` at `stamp`, evicting one entry by
-    /// second-chance when the shard is at `capacity`.
+    /// Inserts (or refreshes) `text`, evicting one entry by second-chance
+    /// when the shard is at `capacity`.
     ///
     /// Eviction is O(1) amortized: the clock hand sweeps the ring,
     /// clearing reference bits until it finds an entry not used since the
     /// last revolution — each resident entry is touched at most once per
-    /// revolution, however full the shard is. (The previous policy
-    /// scanned every entry for the minimum stamp on each over-capacity
-    /// miss: O(entries) per miss, quadratic under sustained load.) The
-    /// hit path still refreshes recency by overwriting the stamp and the
-    /// reference bit in place — no ordered index, no allocation.
+    /// revolution, however full the shard is. The hit path refreshes
+    /// recency by setting the reference bit in place — no ordered index,
+    /// no allocation.
     ///
     /// Victim choice is deterministic for a deterministic operation
     /// order: the hand position and every reference bit are pure
     /// functions of the insert/hit sequence. `stats.evictions` stays
     /// exact — exactly one eviction per insert beyond capacity.
-    fn insert(&mut self, text: &str, completion: Arc<Completion>, capacity: usize, stamp: u64) {
+    fn insert(&mut self, text: &str, completion: Arc<Completion>, capacity: usize) {
         if let Some(entry) = self.entries.get_mut(text) {
             // Refresh in place (re-admission or a racing co-leader): the
             // key keeps its ring slot.
             entry.completion = completion;
-            entry.stamp = stamp;
             entry.referenced = true;
             return;
         }
         let key: Arc<str> = Arc::from(text);
         let entry = CacheEntry {
             completion,
-            stamp,
             // A fresh entry starts unreferenced: it earns its second
             // chance on first re-use, so a one-pass scan of cold keys
             // cannot flush the referenced working set.
@@ -307,64 +299,6 @@ impl CacheInner {
     }
 }
 
-/// First line of every [`PromptCache`] snapshot; bumped whenever the format
-/// changes incompatibly.
-pub const SNAPSHOT_HEADER: &str = "unidm-prompt-cache v1";
-
-/// Why a snapshot could not be saved or restored.
-#[derive(Debug)]
-pub enum SnapshotError {
-    /// Reading or writing the snapshot file failed.
-    Io(std::io::Error),
-    /// The snapshot text is not a well-formed `unidm-prompt-cache`
-    /// document (wrong header, truncated entry, unparseable counts).
-    Parse {
-        /// 1-based line number the parser gave up on.
-        line: usize,
-        /// What was wrong.
-        message: String,
-    },
-    /// The snapshot was taken over a different model, so its memoized
-    /// completions would be wrong for this cache's inner model.
-    ModelMismatch {
-        /// The inner model of the cache being restored.
-        expected: String,
-        /// The model recorded in the snapshot.
-        found: String,
-    },
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
-            SnapshotError::Parse { line, message } => {
-                write!(f, "snapshot parse error at line {line}: {message}")
-            }
-            SnapshotError::ModelMismatch { expected, found } => write!(
-                f,
-                "snapshot model mismatch: cache wraps {expected:?} but snapshot was taken over \
-                 {found:?}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SnapshotError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e)
-    }
-}
-
 /// A concurrent prompt → completion memo layered over any
 /// [`LanguageModel`].
 ///
@@ -388,7 +322,7 @@ impl From<std::io::Error> for SnapshotError {
 /// An already-canonical prompt (every re-lookup of a canonical text, and
 /// every rendered prompt that needs no rewriting) is borrowed by the
 /// canonicalizer, hashed in the same scan, probed against the shard map by
-/// `&str`, refreshed by overwriting its recency stamp in place, and
+/// `&str`, refreshed by setting its reference bit in place, and
 /// answered by bumping the reference count of the stored
 /// [`Arc<Completion>`]. No `String`, no node, no clone — zero heap
 /// allocations end to end, which the bench suite asserts with a counting
@@ -409,17 +343,7 @@ impl From<std::io::Error> for SnapshotError {
 /// when coalescing onto the same key: the shard lock is released while a
 /// miss is being completed.
 ///
-/// # Persistence
-///
-/// [`PromptCache::snapshot`] serializes the memo to a deterministic,
-/// versioned text document (header [`SNAPSHOT_HEADER`], the inner model's
-/// name, then one escaped prompt/completion/usage triplet per entry);
-/// [`PromptCache::restore`] loads one back, re-canonicalizing and
-/// re-sharding every entry under the receiving cache's configuration.
-/// [`PromptCache::save_to`] / [`PromptCache::load_from`] do the same
-/// through a file, which is how repeated eval runs start warm.
-///
-/// # Disk tier
+/// # Disk tier and persistence
 ///
 /// [`PromptCache::with_store`] attaches a [`CacheStore`] — the merged,
 /// versioned, append-only disk segment shared across scenarios — beneath
@@ -429,8 +353,10 @@ impl From<std::io::Error> for SnapshotError {
 /// filter, so a sequential scan cannot flush the disk-resident hot set.
 /// Tier-0 hits never touch the store, preserving the zero-allocation
 /// warm-hit path, and disk traffic is accounted separately in
-/// [`StoreStats`] so [`CacheStats`] exactness is unaffected. The v1 text
-/// snapshots remain readable; [`CacheStore::import_v1`] migrates them.
+/// [`StoreStats`] so [`CacheStats`] exactness is unaffected. The store is
+/// the cache's only persistence: a second run that opens the same file
+/// starts warm. Legacy v1 text snapshots are migrated into it by
+/// [`CacheStore::import_v1`].
 ///
 /// # Determinism and accounting
 ///
@@ -472,9 +398,6 @@ pub struct PromptCache<'a> {
     level: CanonLevel,
     single_flight: bool,
     shards: Box<[Mutex<CacheInner>]>,
-    /// Cache-wide monotonic use counter: stamps are comparable across
-    /// shards, so LRU order is global (snapshot compaction relies on it).
-    clock: AtomicU64,
     /// Optional disk tier ([`CacheStore`]): tier-0 misses probe it before
     /// reaching the model, and fresh completions are offered back through
     /// its admission filter. The tier-0 hit path never touches it, so the
@@ -555,9 +478,7 @@ impl<'a> PromptCache<'a> {
     /// The capacity budget is divided evenly across shards (each shard
     /// gets at least one slot), so with very small capacities the
     /// effective bound is `shards × 1`; use [`PromptCache::with_shards`]
-    /// to control the split. [`PromptCache::snapshot`] re-applies the
-    /// *total* capacity, so persisted state never exceeds it even when
-    /// per-shard rounding lets the in-memory maps run slightly over.
+    /// to control the split.
     pub fn new(inner: &'a dyn LanguageModel, capacity: usize) -> Self {
         let capacity = capacity.max(1);
         let mut cache = PromptCache {
@@ -567,7 +488,6 @@ impl<'a> PromptCache<'a> {
             level: CanonLevel::Verbatim,
             single_flight: true,
             shards: build_shards(default_shards()),
-            clock: AtomicU64::new(0),
             store: None,
         };
         cache.shard_capacity = cache.capacity_per_shard();
@@ -711,11 +631,6 @@ impl<'a> PromptCache<'a> {
         shard.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The next globally ordered recency stamp.
-    fn next_stamp(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
     /// Removes every entry, returning them sorted by canonical prompt (so
     /// rebuilds are deterministic). Statistics are kept.
     fn drain_entries(&mut self) -> Vec<(Arc<str>, Arc<Completion>)> {
@@ -747,9 +662,8 @@ impl<'a> PromptCache<'a> {
     fn admit(&self, prompt: &str, completion: Arc<Completion>) {
         let canonical = CanonicalPrompt::canonicalize(prompt, self.level);
         let shard = self.shard_for_hash(canonical.hash64());
-        let stamp = self.next_stamp();
         self.lock_shard(shard)
-            .insert(canonical.text(), completion, self.shard_capacity, stamp);
+            .insert(canonical.text(), completion, self.shard_capacity);
     }
 
     /// A snapshot of the aggregated hit/miss/eviction statistics.
@@ -807,220 +721,6 @@ impl<'a> PromptCache<'a> {
             self.lock_shard(shard).clear_entries();
         }
     }
-
-    /// Serializes the memo to the versioned snapshot text format,
-    /// compacted to the cache's configured capacity.
-    ///
-    /// The output is deterministic (entries sorted by canonical prompt)
-    /// and records the inner model's name, so [`PromptCache::restore`]
-    /// can refuse snapshots taken over a different model. Statistics are
-    /// not persisted — a restored cache starts with fresh counters.
-    ///
-    /// Compaction keeps the most-recently-used `capacity` entries: recency
-    /// stamps come from one cache-wide clock, so LRU order is global even
-    /// across shards. This is what bounds snapshot files across repeated
-    /// scenario runs — per-shard capacity rounding can let the in-memory
-    /// maps briefly exceed the total budget, but persisted state never
-    /// does. (An unbounded cache persists everything.)
-    pub fn snapshot(&self) -> String {
-        let mut entries: Vec<(Arc<str>, Arc<Completion>, u64)> = Vec::new();
-        for shard in self.shards.iter() {
-            let state = self.lock_shard(shard);
-            entries.extend(
-                state
-                    .entries
-                    .iter()
-                    .map(|(text, entry)| (text.clone(), entry.completion.clone(), entry.stamp)),
-            );
-        }
-        if self.capacity != usize::MAX && entries.len() > self.capacity {
-            entries.sort_by_key(|entry| std::cmp::Reverse(entry.2));
-            entries.truncate(self.capacity);
-        }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut out = format!(
-            "{SNAPSHOT_HEADER}\nmodel {}\nentries {}\n",
-            self.inner.name(),
-            entries.len()
-        );
-        for (prompt, completion, _) in &entries {
-            out.push_str("p ");
-            out.push_str(&escape(prompt));
-            out.push_str("\nc ");
-            out.push_str(&escape(&completion.text));
-            out.push('\n');
-            out.push_str(&format!(
-                "u {} {}\n",
-                completion.usage.prompt_tokens, completion.usage.completion_tokens
-            ));
-        }
-        out
-    }
-
-    /// Restores entries from snapshot text produced by
-    /// [`PromptCache::snapshot`], returning how many were admitted.
-    ///
-    /// Entries are re-canonicalized and re-sharded under this cache's
-    /// configuration, so a snapshot can be loaded into a cache with a
-    /// different shard count or canonicalization level. Restoring does not
-    /// count as hits or misses; subsequent lookups of restored prompts are
-    /// hits served before any model call.
-    ///
-    /// Restoration is atomic with respect to errors: the document is
-    /// parsed in full before anything is admitted, so a truncated,
-    /// garbled, wrong-version or wrong-model snapshot leaves the cache
-    /// exactly as it was.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Parse`] for malformed documents and
-    /// [`SnapshotError::ModelMismatch`] when the snapshot was taken over a
-    /// model with a different name.
-    pub fn restore(&self, snapshot: &str) -> Result<usize, SnapshotError> {
-        let parse_err = |line: usize, message: &str| SnapshotError::Parse {
-            line,
-            message: message.to_string(),
-        };
-        let mut lines = snapshot.lines();
-        let header = lines.next().ok_or_else(|| parse_err(1, "empty snapshot"))?;
-        if header != SNAPSHOT_HEADER {
-            return Err(parse_err(
-                1,
-                &format!("expected header {SNAPSHOT_HEADER:?}"),
-            ));
-        }
-        let model_line = lines
-            .next()
-            .ok_or_else(|| parse_err(2, "missing model line"))?;
-        let found = model_line
-            .strip_prefix("model ")
-            .ok_or_else(|| parse_err(2, "expected `model <name>`"))?;
-        if found != self.inner.name() {
-            return Err(SnapshotError::ModelMismatch {
-                expected: self.inner.name().to_string(),
-                found: found.to_string(),
-            });
-        }
-        let count_line = lines
-            .next()
-            .ok_or_else(|| parse_err(3, "missing entries line"))?;
-        let declared: usize = count_line
-            .strip_prefix("entries ")
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| parse_err(3, "expected `entries <count>`"))?;
-        // Parse every declared entry before admitting anything, so a
-        // malformed tail cannot leave the cache half-restored.
-        let mut parsed: Vec<(String, Completion)> = Vec::new();
-        for index in 0..declared {
-            let entry_line = 4 + index * 3;
-            let p_line = lines
-                .next()
-                .ok_or_else(|| parse_err(entry_line, "truncated entry"))?;
-            let prompt = p_line
-                .strip_prefix("p ")
-                .ok_or_else(|| parse_err(entry_line, "expected `p <prompt>`"))?;
-            let c_line = lines
-                .next()
-                .ok_or_else(|| parse_err(entry_line + 1, "truncated entry (missing completion)"))?;
-            let text = c_line
-                .strip_prefix("c ")
-                .ok_or_else(|| parse_err(entry_line + 1, "expected `c <completion>`"))?;
-            let u_line = lines
-                .next()
-                .ok_or_else(|| parse_err(entry_line + 2, "truncated entry (missing usage)"))?;
-            let usage = u_line
-                .strip_prefix("u ")
-                .and_then(|u| u.split_once(' '))
-                .and_then(|(p, c)| Some((p.parse().ok()?, c.parse().ok()?)))
-                .map(|(prompt_tokens, completion_tokens)| Usage {
-                    prompt_tokens,
-                    completion_tokens,
-                })
-                .ok_or_else(|| {
-                    parse_err(
-                        entry_line + 2,
-                        "expected `u <prompt-tokens> <completion-tokens>`",
-                    )
-                })?;
-            parsed.push((
-                unescape(prompt),
-                Completion {
-                    text: unescape(text),
-                    usage,
-                },
-            ));
-        }
-        if lines.next().is_some() {
-            return Err(parse_err(
-                4 + declared * 3,
-                "trailing data after the declared entries",
-            ));
-        }
-        let admitted = parsed.len();
-        for (prompt, completion) in parsed {
-            self.admit(&prompt, Arc::new(completion));
-        }
-        Ok(admitted)
-    }
-
-    /// Writes [`PromptCache::snapshot`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] when the file cannot be written.
-    pub fn save_to(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.snapshot())?;
-        Ok(())
-    }
-
-    /// Restores a snapshot file written by [`PromptCache::save_to`],
-    /// returning how many entries were admitted.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] when the file cannot be read, plus every
-    /// error [`PromptCache::restore`] can produce.
-    pub fn load_from(&self, path: impl AsRef<Path>) -> Result<usize, SnapshotError> {
-        let text = std::fs::read_to_string(path)?;
-        self.restore(&text)
-    }
-}
-
-/// Escapes a prompt or completion for the line-oriented snapshot format.
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(ch),
-        }
-    }
-    out
-}
-
-/// Inverse of [`escape`]. Unknown escapes pass through verbatim.
-fn unescape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars();
-    while let Some(ch) = chars.next() {
-        if ch != '\\' {
-            out.push(ch);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('\\') => out.push('\\'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
 }
 
 impl LanguageModel for PromptCache<'_> {
@@ -1073,10 +773,8 @@ impl PromptCache<'_> {
             // dispatcher — handles it): hit or straight to the model, no
             // in-flight slot a registered worker could block on.
             {
-                let stamp = self.next_stamp();
                 let mut state = self.lock_shard(shard);
                 if let Some(entry) = state.entries.get_mut(text) {
-                    entry.stamp = stamp;
                     entry.referenced = true;
                     let completion = entry.completion.clone();
                     state.stats.hits += 1;
@@ -1086,10 +784,9 @@ impl PromptCache<'_> {
                 state.stats.misses += 1;
             }
             let result = self.fetch_below(text);
-            let stamp = self.next_stamp();
             if let Ok(completion) = &result {
                 let mut state = self.lock_shard(shard);
-                state.insert(text, completion.clone(), self.shard_capacity, stamp);
+                state.insert(text, completion.clone(), self.shard_capacity);
             }
             return result;
         }
@@ -1097,10 +794,8 @@ impl PromptCache<'_> {
             // One locked section decides hit / coalesce / lead; everything
             // slow (waiting, completing) happens outside it.
             let waiting = {
-                let stamp = self.next_stamp();
                 let mut state = self.lock_shard(shard);
                 if let Some(entry) = state.entries.get_mut(text) {
-                    entry.stamp = stamp;
                     entry.referenced = true;
                     let completion = entry.completion.clone();
                     state.stats.hits += 1;
@@ -1144,11 +839,10 @@ impl PromptCache<'_> {
             armed: true,
         };
         let result = self.fetch_below(text);
-        let stamp = self.next_stamp();
         {
             let mut state = self.lock_shard(shard);
             if let Ok(completion) = &result {
-                state.insert(text, completion.clone(), self.shard_capacity, stamp);
+                state.insert(text, completion.clone(), self.shard_capacity);
             }
             // Errors are not memoized: clearing the slot lets the next
             // lookup retry the model.
@@ -2083,8 +1777,7 @@ mod tests {
 
         // Exactness under a distinct-key scan: one eviction per insert
         // beyond capacity, the occupancy pinned at capacity — however
-        // long the scan runs (the old min-stamp scan was O(entries) per
-        // miss; the hand is O(1) amortized).
+        // long the scan runs (the hand is O(1) amortized per miss).
         let scan = PromptCache::new(&llm, 4).with_shards(1);
         for i in 0..100 {
             scan.complete(&format!("scan key {i}")).unwrap();
@@ -2163,68 +1856,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_compacts_to_capacity_in_global_lru_order() {
-        let (_, llm) = setup();
-        // Capacity 4 over 4 shards: per-shard rounding gives each shard a
-        // slot, so the in-memory map can briefly hold more than 4 entries,
-        // but the snapshot must compact to the 4 most recently used.
-        let cache = PromptCache::new(&llm, 4).with_shards(4);
-        for i in 0..8 {
-            cache.complete(&format!("compaction prompt {i}")).unwrap();
-        }
-        // Refresh two early prompts so recency, not insertion order,
-        // decides survival.
-        cache.complete("compaction prompt 0").unwrap();
-        cache.complete("compaction prompt 1").unwrap();
-        let snapshot = cache.snapshot();
-        let kept: Vec<&str> = snapshot
-            .lines()
-            .filter_map(|l| l.strip_prefix("p "))
-            .collect();
-        assert_eq!(kept.len(), 4, "snapshot bounded by total capacity");
-        for p in ["compaction prompt 0", "compaction prompt 1"] {
-            assert!(
-                kept.contains(&p),
-                "recently touched {p:?} must survive compaction: {kept:?}"
-            );
-        }
-        // The compacted snapshot round-trips.
-        let restored = PromptCache::new(&llm, 4).with_shards(1);
-        assert_eq!(restored.restore(&snapshot).unwrap(), 4);
-    }
-
-    #[test]
-    fn restore_is_atomic_on_malformed_input() {
-        let (_, llm) = setup();
-        let source = PromptCache::unbounded(&llm);
-        source.complete("alpha").unwrap();
-        source.complete("beta").unwrap();
-        let snapshot = source.snapshot();
-
-        // Truncate inside the second entry: nothing may be admitted.
-        let truncated = snapshot.lines().take(6).collect::<Vec<_>>().join("\n");
-        let target = PromptCache::unbounded(&llm);
-        target.complete("pre-existing entry").unwrap();
-        assert!(matches!(
-            target.restore(&truncated),
-            Err(SnapshotError::Parse { .. })
-        ));
-        assert_eq!(
-            target.len(),
-            1,
-            "failed restore must not admit a partial prefix"
-        );
-
-        // Trailing garbage after the declared entries is rejected whole.
-        let trailing = format!("{snapshot}unexpected trailing line\n");
-        assert!(matches!(
-            target.restore(&trailing),
-            Err(SnapshotError::Parse { .. })
-        ));
-        assert_eq!(target.len(), 1);
-    }
-
-    #[test]
     fn rebuilding_shards_keeps_entries() {
         let (_, llm) = setup();
         let cache = PromptCache::unbounded(&llm);
@@ -2256,91 +1887,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip_serves_hits_without_model_calls() {
-        let (world, llm) = setup();
-        let cache = PromptCache::unbounded(&llm);
-        cache.complete("alpha prompt").unwrap();
-        cache.complete("beta prompt\nwith a second line").unwrap();
-        let snapshot = cache.snapshot();
-        assert!(snapshot.starts_with(SNAPSHOT_HEADER));
-
-        let fresh_llm = MockLlm::new(&world, LlmProfile::gpt4_turbo(), 1);
-        let restored = PromptCache::unbounded(&fresh_llm).with_shards(2);
-        assert_eq!(restored.restore(&snapshot).unwrap(), 2);
-        assert_eq!(restored.len(), 2);
-        let reply = restored
-            .complete("beta prompt\nwith a second line")
-            .unwrap();
-        assert_eq!(
-            fresh_llm.usage(),
-            Usage::default(),
-            "restored entry must answer before any model call"
-        );
-        assert_eq!(
-            reply.text,
-            cache
-                .complete("beta prompt\nwith a second line")
-                .unwrap()
-                .text
-        );
-        assert_eq!(restored.stats().hits, 1);
-    }
-
-    #[test]
-    fn snapshot_is_deterministic() {
-        let (_, llm) = setup();
-        let a = PromptCache::unbounded(&llm).with_shards(1);
-        let b = PromptCache::unbounded(&llm).with_shards(8);
-        for prompt in ["one", "two", "three"] {
-            a.complete(prompt).unwrap();
-            b.complete(prompt).unwrap();
-        }
-        assert_eq!(
-            a.snapshot(),
-            b.snapshot(),
-            "snapshot must not depend on shard layout"
-        );
-    }
-
-    #[test]
-    fn restore_rejects_other_models_and_garbage() {
-        let (world, llm) = setup();
-        let cache = PromptCache::unbounded(&llm);
-        cache.complete("alpha").unwrap();
-        let snapshot = cache.snapshot();
-
-        let other = MockLlm::new(&world, LlmProfile::gpt3_175b(), 1);
-        let mismatched = PromptCache::unbounded(&other);
-        assert!(matches!(
-            mismatched.restore(&snapshot),
-            Err(SnapshotError::ModelMismatch { .. })
-        ));
-        assert!(mismatched.is_empty());
-
-        assert!(matches!(
-            cache.restore("not a snapshot"),
-            Err(SnapshotError::Parse { line: 1, .. })
-        ));
-        let truncated = snapshot.lines().take(4).collect::<Vec<_>>().join("\n");
-        assert!(matches!(
-            cache.restore(&truncated),
-            Err(SnapshotError::Parse { .. })
-        ));
-    }
-
-    #[test]
-    fn escape_roundtrips_control_characters() {
-        for text in [
-            "plain",
-            "two\nlines",
-            "back\\slash",
-            "\r\n mixed \\n literal",
-        ] {
-            assert_eq!(unescape(&escape(text)), text);
-        }
     }
 
     #[test]

@@ -50,9 +50,9 @@
 //!   scan cannot flush the hot set), compaction and max-age eviction.
 //!   Attach it with [`PromptCache::with_store`]; misses probe the disk
 //!   tier before reaching the model, so a warm replay — even into a cold
-//!   process — uses zero model calls. The legacy per-scenario v1 text
-//!   snapshots ([`PromptCache::save_to`] / [`PromptCache::load_from`])
-//!   remain readable and migrate via [`CacheStore::import_v1`].
+//!   process — uses zero model calls. The store is the cache's one
+//!   persistence format; legacy v1 text snapshots are migrated into it
+//!   once by [`CacheStore::import_v1`].
 //!
 //! * [`backend`] is the resilient client layer beneath the cache:
 //!   bounded-concurrency dispatch, token-bucket rate limiting,
@@ -142,8 +142,7 @@ pub use config::PipelineConfig;
 pub use dispatch::{DispatchRegistration, Dispatcher, HedgePolicy};
 pub use error::UniDmError;
 pub use exec::{
-    BatchReport, BatchRunner, CacheStats, PromptCache, SnapshotError, StreamReport,
-    DEFAULT_PARTITION_TASKS,
+    BatchReport, BatchRunner, CacheStats, PromptCache, StreamReport, DEFAULT_PARTITION_TASKS,
 };
 pub use pipeline::{RunOutput, Trace, UniDm};
 pub use route::{

@@ -3,10 +3,10 @@
 //! control so a table scan cannot flush the hot working set.
 //!
 //! The official UniDM repo persists every completion in a single sqlite
-//! cache; our reproduction historically scattered one text snapshot per
-//! eval scenario. [`CacheStore`] replaces those per-scenario
-//! `.promptcache` files with a single `UDMCACHE1` segment shared by all
-//! scenarios of one model:
+//! cache. [`CacheStore`] is this reproduction's equivalent and its only
+//! persistence format: one `UDMCACHE1` segment shared by all scenarios of
+//! one model (the legacy per-scenario `.promptcache` text snapshots are
+//! migrated into it once by [`CacheStore::import_v1`]):
 //!
 //! ```text
 //! lookup ──▶ tier 0: sharded in-memory PromptCache (zero-alloc warm hit)
@@ -44,7 +44,7 @@
 //! re-inserting a fresh key. A truncated or garbled tail, a wrong
 //! version, or a wrong model name fails the open with a clean
 //! [`StoreError`] and **no mutation of the file**, so callers can fall
-//! back cold exactly like the v1 snapshot path did.
+//! back to a cold cache and leave the evidence intact.
 //!
 //! # Admission control (TinyLFU)
 //!
@@ -66,7 +66,9 @@
 //! writes are what keep the hot path one `write` call) until
 //! [`CacheStore::compact`] rewrites live frames — sorted by canonical
 //! prompt, so the compacted file is deterministic for a deterministic
-//! history. Entries untouched for more than `max_age` generations (one
+//! history. The rewrite is durable: the new file is synced before it
+//! replaces the old one, and the directory is synced after the rename.
+//! Entries untouched for more than `max_age` generations (one
 //! generation per open) are dropped at open and at compaction.
 
 use std::collections::{HashMap, VecDeque};
@@ -84,8 +86,8 @@ pub const STORE_MAGIC: &[u8; 8] = b"UDMCACHE";
 pub const STORE_VERSION: u32 = 1;
 
 /// First line of the legacy v1 text snapshots [`CacheStore::import_v1`]
-/// migrates (deprecated; kept readable for one-shot conversion).
-pub const V1_SNAPSHOT_HEADER: &str = "unidm-prompt-cache v1";
+/// migrates (the format is retired; this is the only code that reads it).
+pub const V1_HEADER: &str = "unidm-prompt-cache v1";
 
 // ── Little-endian primitives (the `tablestore::segment` idiom) ──────────
 
@@ -824,7 +826,9 @@ impl CacheStore {
     ///
     /// The rewrite goes through a sibling temp file and an atomic rename,
     /// so a crash mid-compaction leaves either the old file or the new
-    /// one, never a torn store.
+    /// one, never a torn store. The temp file is synced before the rename
+    /// and the directory after it, so once this returns the compacted
+    /// file is what a restart finds.
     pub fn compact(&self) -> Result<usize, StoreError> {
         let mut state = self.lock();
         let mut live: Vec<(Arc<str>, IndexEntry)> = state
@@ -858,8 +862,12 @@ impl CacheStore {
         }
 
         let tmp = self.inner.path.with_extension("compact-tmp");
-        std::fs::write(&tmp, &out)?;
+        let mut tmp_file = File::create(&tmp)?;
+        tmp_file.write_all(&out)?;
+        tmp_file.sync_all()?;
+        drop(tmp_file);
         std::fs::rename(&tmp, &self.inner.path)?;
+        sync_parent_dir(&self.inner.path)?;
         state.file = OpenOptions::new()
             .read(true)
             .append(true)
@@ -887,7 +895,7 @@ impl CacheStore {
         prompts
     }
 
-    /// One-shot migration from the deprecated v1 text snapshot format
+    /// One-shot migration from the retired v1 text snapshot format
     /// (`unidm-prompt-cache v1`, the per-scenario `.promptcache` files):
     /// parses the whole document, validates its model guard against this
     /// store's, and admits every entry **bypassing the admission filter**
@@ -988,6 +996,19 @@ fn scan_store(bytes: &[u8], model: &str) -> Result<StoreScan, StoreError> {
     })
 }
 
+/// Syncs the directory holding `path`, making a rename into it durable.
+/// A no-op off Unix, where a directory cannot be opened as a file.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    if !cfg!(unix) {
+        return Ok(());
+    }
+    let dir = path
+        .parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()
+}
+
 /// Seeks to `offset` and reads exactly one frame, verifying length and
 /// checksum.
 fn read_frame(
@@ -1021,7 +1042,7 @@ fn parse_v1_snapshot(snapshot: &str, model: &str) -> Result<Vec<(String, Complet
         |line: usize, message: &str| StoreError::format(format!("v1 line {line}: {message}"));
     let mut lines = snapshot.lines();
     let header = lines.next().ok_or_else(|| parse_err(1, "empty snapshot"))?;
-    if header != V1_SNAPSHOT_HEADER {
+    if header != V1_HEADER {
         return Err(parse_err(1, "expected `unidm-prompt-cache v1` header"));
     }
     let model_line = lines

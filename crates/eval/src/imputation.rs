@@ -163,7 +163,6 @@ pub fn table1(config: ExperimentConfig) -> TableReport {
         },
         &mut report,
     );
-    cached.finish();
     report
 }
 
@@ -176,7 +175,7 @@ mod tests {
     fn table1_with_cache_warm_starts_and_reproduces_itself() {
         let dir = std::env::temp_dir().join(format!("unidm-table1-cache-{}", std::process::id()));
         let config =
-            ExperimentConfig::quick().with_cache(CacheConfig::enabled().with_snapshot_dir(&dir));
+            ExperimentConfig::quick().with_cache(CacheConfig::enabled().with_store_dir(&dir));
 
         let cold = table1(config.clone());
         let warm = table1(config);
@@ -196,8 +195,8 @@ mod tests {
             );
         }
         assert!(
-            dir.join(format!("table1-seed{}.promptcache", 42)).exists(),
-            "snapshot persisted per scenario"
+            dir.join("GPT-3-175B.udmcache").exists(),
+            "store persisted per model"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -7,9 +7,9 @@
 //!
 //! Drivers route their LLM traffic through the batch engine's prompt
 //! cache when [`ExperimentConfig::cache`] opts in (see [`CacheConfig`]):
-//! with a snapshot directory configured, a repeated run of the same
-//! table/seed/model scenario starts warm and serves its repeated prompts
-//! without touching the model.
+//! with a store directory configured, a repeated run over the same model
+//! starts warm and serves its repeated prompts without touching the
+//! model.
 //!
 //! [`ExperimentConfig::backend`] additionally threads every driver's
 //! model through the resilient backend substrate

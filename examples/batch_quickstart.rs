@@ -1,21 +1,21 @@
 //! Batched quickstart: run a whole imputation workload through the
-//! parallel batch engine with a canonicalizing prompt cache, then rerun it
-//! warm from a snapshot.
+//! parallel batch engine with a canonicalizing prompt cache over a disk
+//! store, then rerun it warm from that store.
 //!
 //! Where `quickstart` runs one task through `UniDm::run`, this example
 //! builds a batch of tasks over one table, layers a [`PromptCache`] over
 //! the model — sharded, and canonicalized at [`CanonLevel::TableStem`] so
 //! every row shares the table-level retrieval entry — and fans the batch
-//! out across the worker pool with [`BatchRunner`]. It then saves the
-//! cache to a snapshot file and replays the same workload through a fresh
-//! cache warm-started from that snapshot: the second run answers entirely
-//! from memory, before any model call.
+//! out across the worker pool with [`BatchRunner`]. A [`CacheStore`] disk
+//! tier beneath the cache keeps every completion as it is made; the same
+//! workload then replays through a fresh cache and model over the
+//! reopened store, answering entirely from disk, before any model call.
 //!
 //! ```text
 //! cargo run --example batch_quickstart
 //! ```
 
-use unidm::{BatchRunner, CanonLevel, PipelineConfig, PromptCache, Task};
+use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
 use unidm_llm::{LanguageModel, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -44,10 +44,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The cache is itself a `LanguageModel`, so the runner threads it
     // under every worker transparently. Table-stem canonicalization folds
-    // the per-row retrieval preambles into shared entries.
+    // the per-row retrieval preambles into shared entries; the disk store
+    // below it persists every fresh completion.
+    let dir = std::env::temp_dir().join(format!("unidm-batch-quickstart-{}", std::process::id()));
+    let store_path = dir.join("GPT-3-175B.udmcache");
+    let store = CacheStore::open(&store_path, llm.name(), StoreConfig::default())?;
     let cache = PromptCache::unbounded(&llm)
         .with_shards(8)
-        .with_canonicalization(CanonLevel::TableStem);
+        .with_canonicalization(CanonLevel::TableStem)
+        .with_store(store);
     let runner = BatchRunner::new(&cache, PipelineConfig::paper_default().with_seed(42));
     println!(
         "Running {} imputation tasks on {} worker(s)...\n",
@@ -85,28 +90,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.tokens_saved,
     );
 
-    // Persist the memo and warm-start a second run from the snapshot —
-    // what a repeated eval run does with `--cache-dir`.
-    let snapshot_path = std::env::temp_dir().join("unidm-batch-quickstart.promptcache");
-    cache.save_to(&snapshot_path)?;
-    println!("\nSnapshot saved to {}", snapshot_path.display());
-
+    // Warm-start a second run, as a new process would, from the store the
+    // first run wrote — what a repeated eval run does with `--cache-dir`.
+    println!("\nStore written to {}", store_path.display());
+    drop(cache);
     let fresh_llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 42);
+    let store = CacheStore::open(&store_path, fresh_llm.name(), StoreConfig::default())?;
     let warm = PromptCache::unbounded(&fresh_llm)
         .with_shards(8)
-        .with_canonicalization(CanonLevel::TableStem);
-    let restored = warm.load_from(&snapshot_path)?;
+        .with_canonicalization(CanonLevel::TableStem)
+        .with_store(store.clone());
     let warm_runner = BatchRunner::new(&warm, PipelineConfig::paper_default().with_seed(42));
     let warm_outputs = warm_runner.run(&lake, &tasks);
-    let warm_stats = warm.stats();
+    let (warm_stats, disk) = (warm.stats(), store.stats());
     println!(
-        "Warm start: {restored} entries restored; rerun hit {} / missed {} \
-         ({:.0}% hit rate) with {} model tokens",
+        "Warm start: {} entries on disk; rerun hit {} in memory and {} on disk, \
+         {} model tokens",
+        store.len(),
         warm_stats.hits,
-        warm_stats.misses,
-        warm_stats.hit_rate() * 100.0,
+        disk.hits,
         fresh_llm.usage().total(),
     );
+    assert_eq!(disk.misses, 0, "the warm rerun never reaches the model");
     for (cold, warm) in outputs.iter().zip(&warm_outputs) {
         assert_eq!(
             cold.as_ref().map_err(Clone::clone)?.answer,
@@ -114,6 +119,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "warm answers must match the cold run bit-for-bit"
         );
     }
-    let _ = std::fs::remove_file(&snapshot_path);
+    let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }

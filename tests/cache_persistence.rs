@@ -1,12 +1,14 @@
 //! Acceptance tests for the cache-aware prompting subsystem:
 //! canonicalized keys must lift the imputation-workload hit rate an order
-//! of magnitude (≥ 20%, up from ~2% verbatim), snapshots must warm-start a
-//! second run so it reports cache hits before any model call, sharded
+//! of magnitude (≥ 20%, up from ~2% verbatim), a reopened disk store must
+//! warm-start a second run so it answers before any model call, sharded
 //! statistics must stay exact under seeded concurrent access, and
 //! serial/parallel answers must remain bit-for-bit identical with
 //! canonicalization on.
 
-use unidm::{BatchRunner, CanonLevel, PipelineConfig, PromptCache, Task};
+use std::path::PathBuf;
+
+use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
 use unidm_llm::{LanguageModel, LlmProfile, MockLlm, Usage};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -84,39 +86,54 @@ fn serial_and_parallel_stay_identical_with_canonicalization_on() {
     }
 }
 
+/// A fresh store file for `tag`, opened for `llm`.
+fn fresh_store(tag: &str, llm: &dyn LanguageModel) -> (PathBuf, CacheStore) {
+    let dir = std::env::temp_dir().join(format!("unidm-persist-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("cache.udmcache");
+    let store = CacheStore::open(&path, llm.name(), StoreConfig::default()).expect("store opens");
+    (path, store)
+}
+
 #[test]
-fn snapshot_warm_starts_a_second_eval_run_before_any_model_call() {
+fn store_warm_starts_a_second_eval_run_before_any_model_call() {
     let (world, llm, lake, tasks) = workload();
     let config = PipelineConfig::paper_default().with_seed(42);
-    let path = std::env::temp_dir().join(format!(
-        "unidm-cache-persistence-{}.promptcache",
-        std::process::id()
-    ));
 
-    // Cold run: populate and persist.
-    let cold_cache = canonical_cache(&llm);
+    // Cold run: every admitted miss is appended to the store as it happens.
+    let (path, cold_store) = fresh_store("warm", &llm);
+    let cold_cache = canonical_cache(&llm).with_store(cold_store);
     let cold = BatchRunner::new(&cold_cache, config).run(&lake, &tasks);
-    let cold_model_tokens = llm.usage().total();
-    assert!(cold_model_tokens > 0);
-    cold_cache.save_to(&path).expect("snapshot saves");
+    assert!(llm.usage().total() > 0);
+    drop(cold_cache);
 
-    // Warm run: a fresh model + cache restored from the snapshot. The
-    // first completions are hits — the model is never consulted.
+    // Warm run: a fresh model and tier 0 over the reopened, compacted
+    // store. Every tier-0 miss is a disk hit — the model is never
+    // consulted.
     let fresh_llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 42);
-    let warm_cache = canonical_cache(&fresh_llm);
-    let loaded = warm_cache.load_from(&path).expect("snapshot restores");
-    assert!(loaded > 0, "warm run must restore entries");
-    assert_eq!(fresh_llm.usage(), Usage::default(), "restore is model-free");
-
+    let store = CacheStore::open(&path, fresh_llm.name(), StoreConfig::default()).unwrap();
+    store.compact().expect("store compacts");
+    assert!(!store.is_empty(), "warm run must find entries");
+    assert_eq!(
+        fresh_llm.usage(),
+        Usage::default(),
+        "reopening is model-free"
+    );
+    let warm_cache = canonical_cache(&fresh_llm).with_store(store.clone());
     let warm = BatchRunner::new(&warm_cache, config).run(&lake, &tasks);
-    let warm_stats = warm_cache.stats();
+    let (warm_stats, disk) = (warm_cache.stats(), store.stats());
     assert!(warm_stats.hits > 0, "warm run must report cache hits");
     assert_eq!(
         fresh_llm.usage(),
         Usage::default(),
         "a fully warm run answers every prompt before any model call"
     );
-    assert_eq!(warm_stats.misses, 0, "nothing should miss on a warm replay");
+    assert_eq!(
+        warm_stats.misses,
+        disk.hits + disk.misses,
+        "every tier-0 miss probes the disk tier once"
+    );
+    assert_eq!(disk.misses, 0, "nothing reaches the model on a warm replay");
 
     // Bit-for-bit agreement between the cold and warm runs.
     for (c, w) in cold.iter().zip(&warm) {
@@ -125,21 +142,27 @@ fn snapshot_warm_starts_a_second_eval_run_before_any_model_call() {
         assert_eq!(c.answer, w.answer);
         assert_eq!(c.usage, w.usage);
     }
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
 #[test]
-fn snapshot_text_is_deterministic_across_identical_runs() {
+fn store_bytes_are_deterministic_across_identical_runs() {
     let (_, llm, lake, tasks) = workload();
     let config = PipelineConfig::paper_default().with_seed(42);
-    let snapshots: Vec<String> = (0..2)
-        .map(|_| {
-            let cache = canonical_cache(&llm);
+    let files: Vec<Vec<u8>> = (0..2)
+        .map(|run| {
+            let (path, store) = fresh_store(&format!("bytes{run}"), &llm);
+            let cache = canonical_cache(&llm).with_store(store.clone());
             BatchRunner::new(&cache, config).run(&lake, &tasks);
-            cache.snapshot()
+            // Compaction sorts live frames by prompt, so the file no
+            // longer depends on the workers' completion order.
+            store.compact().expect("store compacts");
+            let bytes = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_dir_all(path.parent().unwrap());
+            bytes
         })
         .collect();
-    assert_eq!(snapshots[0], snapshots[1]);
+    assert_eq!(files[0], files[1]);
 }
 
 #[test]

@@ -192,25 +192,26 @@ fn hash_is_pinned_to_golden_values() {
 #[test]
 fn hash_is_stable_across_shard_counts() {
     // The same workload memoized into caches of every shard width must
-    // produce identical snapshots (entries keyed and hashed identically);
-    // only the shard *mask* changes with the count, never the hash.
+    // hold identical canonical keys (entries keyed and hashed
+    // identically); only the shard *mask* changes with the count, never
+    // the hash.
     let world = World::generate(11);
     let llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 11);
     let mut g = Gen::new(0xca05);
     let prompts: Vec<String> = (0..24).map(|_| random_prompt(&mut g)).collect();
 
-    let snapshot_at = |shards: usize| {
+    let keys_at = |shards: usize| {
         let cache = PromptCache::unbounded(&llm)
             .with_shards(shards)
             .with_canonicalization(CanonLevel::Whitespace);
         for p in &prompts {
             cache.complete(p).expect("prompt completes");
         }
-        cache.snapshot()
+        cache.canonical_prompts()
     };
-    let one = snapshot_at(1);
-    assert_eq!(one, snapshot_at(2));
-    assert_eq!(one, snapshot_at(8));
+    let one = keys_at(1);
+    assert_eq!(one, keys_at(2));
+    assert_eq!(one, keys_at(8));
 
     // And the canonical keys themselves spread over shards rather than
     // piling onto one (masking a uniform 64-bit hash).

@@ -13,7 +13,7 @@
 //! push.
 
 use unidm::backend::{BackendConfig, BackendStats, RetryPolicy};
-use unidm::{BatchRunner, CanonLevel, PipelineConfig, PromptCache, Task};
+use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
 use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm, Usage};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -173,31 +173,42 @@ fn cache_hits_consume_zero_rate_limit_budget() {
     let pipeline = PipelineConfig::paper_default().with_seed(42);
     let seed = fault_seed();
 
-    // Cold run: populate the cache through the full faulty stack.
+    let dir = std::env::temp_dir().join(format!("unidm-fault-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("cache.udmcache");
+
+    // Cold run: populate the cache and its disk store through the full
+    // faulty stack.
     let cold_backend = stack_config(seed, FaultPlan::moderate(seed)).wrap(&llm);
-    let cold_cache =
-        PromptCache::unbounded(cold_backend.model()).with_canonicalization(CanonLevel::TableStem);
+    let cold_store = CacheStore::open(&path, llm.name(), StoreConfig::default()).unwrap();
+    let cold_cache = PromptCache::unbounded(cold_backend.model())
+        .with_canonicalization(CanonLevel::TableStem)
+        .with_store(cold_store);
     let cold = BatchRunner::new(&cold_cache, pipeline)
         .with_workers(4)
         .answers(&lake, &tasks);
     assert!(cold_backend.stats().expect("enabled").attempts > 0);
-    let snapshot = cold_cache.snapshot();
+    drop(cold_cache);
 
-    // Warm run: a fresh model, backend and cache restored from the
-    // snapshot. Every lookup hits, so nothing may reach the backend — no
-    // calls, no attempts, no rate-limit tokens, no retries.
+    // Warm run: a fresh model, backend and tier 0 over the reopened
+    // store. Every lookup is served by one tier or the other, so nothing
+    // may reach the backend — no calls, no attempts, no rate-limit
+    // tokens, no retries.
     let fresh_llm = MockLlm::new(&world, LlmProfile::gpt3_175b(), 42);
     let warm_backend = stack_config(seed, FaultPlan::moderate(seed)).wrap(&fresh_llm);
-    let warm_cache =
-        PromptCache::unbounded(warm_backend.model()).with_canonicalization(CanonLevel::TableStem);
-    warm_cache.restore(&snapshot).expect("snapshot restores");
+    let warm_store = CacheStore::open(&path, fresh_llm.name(), StoreConfig::default()).unwrap();
+    let warm_cache = PromptCache::unbounded(warm_backend.model())
+        .with_canonicalization(CanonLevel::TableStem)
+        .with_store(warm_store.clone());
     let warm = BatchRunner::new(&warm_cache, pipeline)
         .with_workers(4)
         .answers(&lake, &tasks);
 
     assert_eq!(warm, cold, "warm answers match the cold faulty run");
-    assert!(warm_cache.stats().hits > 0, "warm run must hit");
-    assert_eq!(warm_cache.stats().misses, 0, "fully warm replay");
+    let (stats, disk) = (warm_cache.stats(), warm_store.stats());
+    assert!(disk.hits > 0, "warm run must hit the store");
+    assert_eq!(stats.misses, disk.hits + disk.misses, "tier identity");
+    assert_eq!(disk.misses, 0, "fully warm replay");
     assert_eq!(
         warm_backend.stats().expect("enabled"),
         BackendStats::default(),
@@ -208,6 +219,7 @@ fn cache_hits_consume_zero_rate_limit_budget() {
         Usage::default(),
         "the inner model is never consulted on a warm run"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -18,7 +18,7 @@
 
 use unidm::backend::BackendConfig;
 use unidm::dispatch::{Dispatcher, HedgePolicy};
-use unidm::{BatchRunner, CanonLevel, PipelineConfig, PromptCache, Task};
+use unidm::{BatchRunner, CacheStore, CanonLevel, PipelineConfig, PromptCache, StoreConfig, Task};
 use unidm_llm::{FaultPlan, LanguageModel, LlmProfile, MockLlm};
 use unidm_synthdata::imputation;
 use unidm_tablestore::DataLake;
@@ -139,8 +139,8 @@ fn hedged_answers_bit_identical_across_seeds_and_worker_counts() {
     }
 }
 
-/// Losers are never memoized: after a hedged batch, a snapshot of the
-/// `PromptCache` replayed over the bare model answers the whole workload
+/// Losers are never memoized: after a hedged batch, the `PromptCache`'s
+/// disk store replayed over a fresh bare model answers the whole workload
 /// with **zero** model calls and answers bit-identical to the fault-free
 /// reference — so everything the hedged run memoized is a winner's
 /// completion, and nothing else was inserted.
@@ -155,13 +155,19 @@ fn losing_copies_are_never_memoized() {
     let seed = fault_seed();
     let dispatcher = Dispatcher::new(&llm, hedged_config(seed));
     warm_estimator(&dispatcher, &llm, 8);
+    let dir = std::env::temp_dir().join(format!("unidm-hedge-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("cache.udmcache");
+    let store = CacheStore::open(&path, llm.name(), StoreConfig::default()).unwrap();
     let cache = PromptCache::unbounded(&dispatcher)
         .with_canonicalization(CanonLevel::TableStem)
-        .with_single_flight(false);
+        .with_single_flight(false)
+        .with_store(store);
     BatchRunner::new(&cache, pipeline)
         .with_workers(8)
         .with_pipeline(&dispatcher)
         .run_report(&lake, &tasks);
+    drop(cache);
     let stats = dispatcher.stats();
     assert_eq!(stats.failures, 0);
 
@@ -185,13 +191,15 @@ fn losing_copies_are_never_memoized() {
     );
     assert_eq!(dispatcher.stats().dispatch_coalesced, memo_hit + 1);
 
-    // The cache above the dispatcher holds only winners too: its snapshot
-    // replayed over the *bare* model serves the entire workload without a
-    // single model call, bit-identical to the fault-free reference.
-    let snapshot = cache.snapshot();
-    let warm = PromptCache::unbounded(&llm).with_canonicalization(CanonLevel::TableStem);
-    warm.restore(&snapshot).expect("snapshot restores");
-    llm.reset_usage();
+    // The cache above the dispatcher stored only winners too: its store
+    // replayed under a fresh tier 0 over a fresh *bare* model serves the
+    // entire workload without a single model call, bit-identical to the
+    // fault-free reference.
+    let fresh_llm = MockLlm::new(&World::generate(42), LlmProfile::gpt3_175b(), 42);
+    let store = CacheStore::open(&path, fresh_llm.name(), StoreConfig::default()).unwrap();
+    let warm = PromptCache::unbounded(&fresh_llm)
+        .with_canonicalization(CanonLevel::TableStem)
+        .with_store(store.clone());
     let warm_answers = BatchRunner::new(&warm, pipeline)
         .with_workers(1)
         .answers(&lake, &tasks);
@@ -200,10 +208,18 @@ fn losing_copies_are_never_memoized() {
         "everything memoized by the hedged run is a winner's completion"
     );
     assert_eq!(
-        llm.usage().total(),
+        fresh_llm.usage().total(),
         0,
         "the warm replay never reaches the model"
     );
+    let disk = store.stats();
+    assert_eq!(
+        warm.stats().misses,
+        disk.hits + disk.misses,
+        "tier identity"
+    );
+    assert_eq!(disk.misses, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Hedge duplicates take an in-flight slot but no rate-limit token: with

@@ -1,210 +1,199 @@
-//! Robustness tests for `.promptcache` snapshots: corrupt documents must
-//! surface a clean [`SnapshotError`] (never panic) and leave the cache
-//! untouched, compaction must bound persisted state at the configured
-//! capacity (keeping the most recently used entries) and round-trip, and
-//! repeated eval scenario runs must not grow the snapshot file without
-//! bound.
+//! Robustness of the one-shot v1 snapshot migration
+//! ([`CacheStore::import_v1`]), the only code that still reads the retired
+//! `.promptcache` text format: corrupt documents must surface a clean
+//! [`StoreError`] (never panic) and leave the store untouched, escapes
+//! must round-trip into the binary store, and a capacity-bounded store
+//! file must stay bounded across repeated scenario runs.
 
-use unidm::exec::SNAPSHOT_HEADER;
-use unidm::{CanonLevel, PromptCache, SnapshotError};
-use unidm_eval::CacheConfig;
-use unidm_llm::{LanguageModel, LlmProfile, MockLlm, Usage};
+use std::path::{Path, PathBuf};
+
+use unidm::{CacheStore, PromptCache, StoreConfig, StoreError};
+use unidm_llm::{LanguageModel, LlmProfile, MockLlm};
 use unidm_world::World;
 
-fn llm() -> MockLlm {
-    MockLlm::new(&World::generate(7), LlmProfile::gpt3_175b(), 7)
+/// The model the fixture was written over.
+const MODEL: &str = "GPT-3-175B";
+
+/// A v1 snapshot with three entries, exercising every escape the format
+/// defines (`\n`, `\r`, `\\`).
+const FIXTURE: &str = "unidm-prompt-cache v1\nmodel GPT-3-175B\nentries 3\n\
+                       p alpha prompt\nc alpha answer\nu 3 2\n\
+                       p beta prompt\\nwith a second line\nc beta\\r\\nanswer\nu 8 4\n\
+                       p gamma prompt with \\\\ escapes\nc gamma \\\\n answer\nu 6 3\n";
+
+fn temp_store(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("unidm-v1-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir.join("cache.udmcache")
 }
 
-/// A populated cache plus its snapshot text.
-fn populated<'a>(model: &'a MockLlm) -> (PromptCache<'a>, String) {
-    let cache = PromptCache::unbounded(model);
-    for prompt in [
-        "alpha prompt",
-        "beta prompt\nwith a second line",
-        "gamma prompt with \\ escapes",
-    ] {
-        cache.complete(prompt).unwrap();
-    }
-    let snapshot = cache.snapshot();
-    (cache, snapshot)
+fn cleanup(path: &Path) {
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
-/// Asserts that restoring `doc` into a pre-populated cache fails cleanly
-/// and changes nothing: same length, same entries, still serving hits
-/// without model calls.
-fn assert_rejected_and_untouched(doc: &str, expect_parse: bool) {
-    let model = llm();
-    let (cache, _) = populated(&model);
-    let len_before = cache.len();
-    let snapshot_before = cache.snapshot();
-    let err = cache.restore(doc).expect_err("corrupt snapshot must fail");
-    match (&err, expect_parse) {
-        (SnapshotError::Parse { .. }, true) | (SnapshotError::ModelMismatch { .. }, false) => {}
+/// A store at `path` holding the fixture's three entries.
+fn populated(path: &Path) -> CacheStore {
+    let store = CacheStore::open(path, MODEL, StoreConfig::default()).unwrap();
+    assert_eq!(store.import_v1(FIXTURE).unwrap(), 3);
+    store
+}
+
+/// Asserts that importing `doc` into a populated store fails cleanly and
+/// changes nothing: same entries, same file bytes, still serving hits.
+fn assert_rejected_and_untouched(tag: &str, doc: &str, expect_format: bool) {
+    let path = temp_store(tag);
+    let store = populated(&path);
+    let prompts_before = store.canonical_prompts();
+    let bytes_before = std::fs::read(&path).unwrap();
+    let err = store
+        .import_v1(doc)
+        .expect_err("corrupt snapshot must fail");
+    match (&err, expect_format) {
+        (StoreError::Format(_), true) | (StoreError::ModelMismatch { .. }, false) => {}
         _ => panic!("unexpected error class for {doc:?}: {err}"),
     }
-    // Errors must be printable (callers log them) and carry a source chain
-    // that terminates.
+    // Errors must be printable: callers log them.
     assert!(!err.to_string().is_empty());
-    assert_eq!(cache.len(), len_before, "failed restore must not admit");
     assert_eq!(
-        cache.snapshot(),
-        snapshot_before,
-        "failed restore must not mutate existing entries"
+        store.canonical_prompts(),
+        prompts_before,
+        "nothing admitted"
     );
-    let usage_before = model.usage();
-    cache.complete("alpha prompt").unwrap();
-    assert_eq!(model.usage(), usage_before, "existing entries still hit");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        bytes_before,
+        "file untouched"
+    );
+    assert_eq!(store.get("alpha prompt").unwrap().text, "alpha answer");
+    cleanup(&path);
 }
 
 #[test]
 fn truncation_at_every_line_is_a_clean_error() {
-    let model = llm();
-    let (_, snapshot) = populated(&model);
-    let lines: Vec<&str> = snapshot.lines().collect();
+    let lines: Vec<&str> = FIXTURE.lines().collect();
+    let path = temp_store("truncate");
+    let store = CacheStore::open(&path, MODEL, StoreConfig::default()).unwrap();
     // Every strict prefix that cuts into the document (header alone is
     // also incomplete) must fail cleanly without panicking.
     for keep in 0..lines.len() {
         let truncated = lines[..keep].join("\n");
-        let fresh = PromptCache::unbounded(&model);
-        let err = fresh
-            .restore(&truncated)
+        let err = store
+            .import_v1(&truncated)
             .expect_err("truncated snapshot must fail");
         assert!(
-            matches!(err, SnapshotError::Parse { .. }),
+            matches!(err, StoreError::Format(_)),
             "prefix of {keep} lines: {err}"
         );
-        assert!(fresh.is_empty(), "prefix of {keep} lines admitted entries");
+        assert!(store.is_empty(), "prefix of {keep} lines admitted entries");
     }
+    cleanup(&path);
 }
 
 #[test]
 fn garbled_documents_are_clean_errors_that_leave_the_cache_untouched() {
-    let model = llm();
-    let (_, snapshot) = populated(&model);
     let garbled = [
         // Wrong version / header.
-        snapshot.replacen("v1", "v0", 1),
-        snapshot.replacen("v1", "v2", 1),
+        FIXTURE.replacen("v1", "v0", 1),
+        FIXTURE.replacen("v1", "v2", 1),
         "not a snapshot at all".to_string(),
         String::new(),
         // Corrupted structure.
-        snapshot.replacen("entries 3", "entries banana", 1),
-        snapshot.replacen("entries 3", "entries 99", 1),
-        snapshot.replacen("\np ", "\nx ", 1),
-        snapshot.replacen("\nc ", "\nq ", 1),
-        snapshot.replacen("\nu ", "\nu banana ", 1),
-        format!("{snapshot}rogue trailing line\n"),
+        FIXTURE.replacen("entries 3", "entries banana", 1),
+        FIXTURE.replacen("entries 3", "entries 99", 1),
+        FIXTURE.replacen("\np ", "\nx ", 1),
+        FIXTURE.replacen("\nc ", "\nq ", 1),
+        FIXTURE.replacen("\nu ", "\nu banana ", 1),
+        format!("{FIXTURE}rogue trailing line\n"),
         // Binary noise in the body.
-        snapshot.replacen("\nc ", "\n\u{0}\u{1}\u{2} ", 1),
+        FIXTURE.replacen("\nc ", "\n\u{0}\u{1}\u{2} ", 1),
     ];
     for doc in &garbled {
-        assert_rejected_and_untouched(doc, true);
+        assert_rejected_and_untouched("garbled", doc, true);
     }
 }
 
 #[test]
 fn wrong_model_snapshot_is_refused_without_side_effects() {
-    let model = llm();
-    let (_, snapshot) = populated(&model);
-    let foreign = snapshot.replacen("GPT-3-175B", "GPT-4-Turbo", 1);
-    assert_rejected_and_untouched(&foreign, false);
+    let foreign = FIXTURE.replacen("GPT-3-175B", "GPT-4-Turbo", 1);
+    assert_rejected_and_untouched("foreign", &foreign, false);
 }
 
 #[test]
 fn undeclared_entry_count_is_rejected_not_partially_admitted() {
     // Declare more entries than the body holds: the parser must reject the
     // document as a whole, admitting none of the (valid) leading entries.
-    let model = llm();
-    let (_, snapshot) = populated(&model);
-    let overdeclared = snapshot.replacen("entries 3", "entries 4", 1);
-    let fresh = PromptCache::unbounded(&model);
+    let path = temp_store("overdeclared");
+    let store = CacheStore::open(&path, MODEL, StoreConfig::default()).unwrap();
+    let bytes_before = std::fs::read(&path).unwrap();
+    let overdeclared = FIXTURE.replacen("entries 3", "entries 4", 1);
     assert!(matches!(
-        fresh.restore(&overdeclared),
-        Err(SnapshotError::Parse { .. })
+        store.import_v1(&overdeclared),
+        Err(StoreError::Format(_))
     ));
-    assert!(
-        fresh.is_empty(),
-        "atomic restore must not keep the valid prefix"
-    );
-}
-
-#[test]
-fn compacted_snapshot_round_trips_with_the_most_recent_entries() {
-    let model = llm();
-    // Capacity 6, canonicalized: insert 12, re-touch the first three so
-    // recency (not insertion order) decides survival.
-    let cache = PromptCache::new(&model, 6).with_canonicalization(CanonLevel::Whitespace);
-    for i in 0..12 {
-        cache.complete(&format!("robust prompt {i}")).unwrap();
-    }
-    for i in 0..3 {
-        cache.complete(&format!("robust prompt {i}")).unwrap();
-    }
-    let snapshot = cache.snapshot();
-    assert!(snapshot.starts_with(SNAPSHOT_HEADER));
-    let persisted = snapshot.lines().filter(|l| l.starts_with("p ")).count();
-    assert!(
-        persisted <= 6,
-        "snapshot must compact to capacity: {persisted} entries"
-    );
-
-    // Round-trip: a fresh model + cache restored from the compacted
-    // snapshot serves the surviving entries without model calls.
-    let fresh_model = llm();
-    let restored = PromptCache::new(&fresh_model, 6)
-        .with_shards(2)
-        .with_canonicalization(CanonLevel::Whitespace);
-    assert_eq!(restored.restore(&snapshot).unwrap(), persisted);
-    for i in 0..3 {
-        restored.complete(&format!("robust prompt {i}")).unwrap();
-    }
+    assert!(store.is_empty(), "import must not keep the valid prefix");
     assert_eq!(
-        fresh_model.usage(),
-        Usage::default(),
-        "recently-used entries survive compaction and answer model-free"
+        std::fs::read(&path).unwrap(),
+        bytes_before,
+        "file untouched"
     );
-    assert_eq!(restored.stats().hits, 3);
+    cleanup(&path);
 }
 
 #[test]
-fn snapshot_size_is_bounded_across_repeated_scenario_runs() {
-    // The ROADMAP-noted failure mode: repeated eval runs used to grow
-    // their snapshot files without bound. With a capacity configured, the
-    // persisted file must stay bounded no matter how many times the
-    // scenario runs (and no matter how much fresh traffic each run adds).
-    let dir = std::env::temp_dir().join(format!("unidm-snap-bound-{}", std::process::id()));
-    let config = CacheConfig {
-        capacity: 20,
-        ..CacheConfig::enabled()
-    }
-    .with_snapshot_dir(&dir);
-    let model = llm();
+fn v1_escapes_round_trip_through_import() {
+    let path = temp_store("escapes");
+    drop(populated(&path));
+    // Reopened from the binary store: the unescaped text survives as is.
+    let store = CacheStore::open(&path, MODEL, StoreConfig::default()).unwrap();
+    let beta = store.get("beta prompt\nwith a second line").unwrap();
+    assert_eq!(beta.text, "beta\r\nanswer");
+    assert_eq!(
+        (beta.usage.prompt_tokens, beta.usage.completion_tokens),
+        (8, 4)
+    );
+    let gamma = store.get("gamma prompt with \\ escapes").unwrap();
+    assert_eq!(
+        gamma.text, "gamma \\n answer",
+        "an escaped backslash stays literal"
+    );
+    assert_eq!(store.stats().hits, 2);
+    cleanup(&path);
+}
+
+#[test]
+fn store_file_is_bounded_across_repeated_scenario_runs() {
+    // Repeated eval runs must not grow the persisted file without bound:
+    // with a capacity configured, the store holds at most that many
+    // entries and compaction keeps the file at that size, however much
+    // fresh traffic each run adds.
+    let path = temp_store("bounded");
+    let model = MockLlm::new(&World::generate(7), LlmProfile::gpt3_175b(), 7);
+    let config = StoreConfig::default().with_max_entries(20);
 
     let mut sizes = Vec::new();
     for round in 0..4 {
-        let attached = config.attach("bounded-scenario", &model);
+        let store = CacheStore::open(&path, model.name(), config).unwrap();
+        let cache = PromptCache::unbounded(&model).with_store(store.clone());
         for i in 0..15 {
-            // Fresh prompts every round: an unbounded snapshot would grow
-            // by 15 entries per round.
-            attached
-                .model()
-                .complete(&format!("round {round} query {i}"))
-                .unwrap();
+            // Fresh prompts every round: an unbounded store would grow by
+            // 15 entries per round.
+            cache.complete(&format!("round {round} query {i}")).unwrap();
         }
-        attached.finish();
-        let text = std::fs::read_to_string(dir.join("bounded-scenario.promptcache")).unwrap();
-        let entries = text.lines().filter(|l| l.starts_with("p ")).count();
+        store.compact().unwrap();
         assert!(
-            entries <= 20,
-            "round {round}: snapshot holds {entries} > capacity 20"
+            store.len() <= 20,
+            "round {round}: store holds {} > capacity 20",
+            store.len()
         );
-        sizes.push(text.len());
+        sizes.push(std::fs::metadata(&path).unwrap().len());
     }
     let max = *sizes.iter().max().unwrap();
     let min = *sizes.iter().min().unwrap();
     assert!(
         max <= min * 2,
-        "snapshot byte size must plateau, not grow: {sizes:?}"
+        "store byte size must plateau, not grow: {sizes:?}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    let reopened = CacheStore::open(&path, model.name(), config).unwrap();
+    assert!(reopened.len() <= 20);
+    cleanup(&path);
 }
